@@ -16,21 +16,19 @@ Exit codes: 0 success, 2 usage error, 1 runtime error.
 
 import argparse
 import csv
-import io
 import json
 import math
 import os
 import sys
-import tempfile
 import time
 
 import numpy as np
 
+from . import __version__ as VERSION
 from . import data as datamod
 from . import losses, metrics, nn, trainer
 from .mcd import McdConfig, PredictionSummary, mcd_predict
 
-VERSION = "0.1.0"
 SEED_ENV_VAR = "LTVMCD_SEED"
 
 DEFAULT_HIDDEN_DIMS = [128, 64, 32]
@@ -65,28 +63,9 @@ def _load_json(path):
     return doc
 
 
-def _write_text(path, text):
-    """Write atomically: the target either keeps its old content or gets
-    the complete new content, never a partial file."""
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".ltvmcd-")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
-def _csv_text(header, rows):
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow(row)
-    return buf.getvalue()
+def _write_json(path, doc):
+    with datamod.atomic_open(path) as fh:
+        fh.write(json.dumps(doc, indent=1) + "\n")
 
 
 def _fmt(value):
@@ -102,7 +81,7 @@ def _write_manifest(out_path, command, config, seed, artifacts, started):
         "version": VERSION,
         "duration_seconds": round(time.time() - started, 3),
     }
-    _write_text(out_path + ".manifest.json", json.dumps(doc, indent=1) + "\n")
+    _write_json(out_path + ".manifest.json", doc)
 
 
 def _build_network(kind, input_dim, out_dim, model_cfg, seed):
@@ -157,8 +136,11 @@ def _load_train_config(path):
     return doc
 
 
-def cmd_train(args):
-    started = time.time()
+def _prepare_training(args):
+    """Shared start of train and compare: load the dataset and the train
+    config, resolve the seed, split off the test fraction, and standardize
+    on the train split. Returns (train_dict, model_dict, test_fraction,
+    seed, (train_raw, test_raw), (train_std, test_std))."""
     dataset = datamod.load_csv(args.data)
     doc = _load_train_config(args.config)
     train_dict = dict(doc.get("train", {}))
@@ -168,11 +150,15 @@ def cmd_train(args):
         _fail(f"test_fraction must be in (0, 1), got {test_fraction}")
     seed = _resolve_seed(args.seed, train_dict.get("master_seed"))
     train_dict["master_seed"] = seed
-    train_dict["loss"] = args.loss
-    cfg = trainer.TrainConfig.from_dict(train_dict)
+    raw = datamod.split(dataset, 1.0 - test_fraction, seed)
+    return train_dict, model_dict, test_fraction, seed, raw, datamod.standardize(*raw)
 
-    train_raw, test_raw = datamod.split(dataset, 1.0 - test_fraction, seed)
-    train_std, _ = datamod.standardize(train_raw, test_raw)
+
+def cmd_train(args):
+    started = time.time()
+    train_dict, model_dict, test_fraction, seed, (train_raw, test_raw), (train_std, _) = \
+        _prepare_training(args)
+    cfg = trainer.TrainConfig.from_dict({**train_dict, "loss": args.loss})
     net = _build_network(args.model, train_std.dim, losses.head_width(args.loss),
                          model_dict, seed)
     net, history = trainer.train(net, train_std, cfg)
@@ -184,7 +170,7 @@ def cmd_train(args):
 
     history_path = args.history_out or args.out + ".history.csv"
     rows = [(epoch, _fmt(tr), _fmt(val)) for epoch, tr, val in history]
-    _write_text(history_path, _csv_text(["epoch", "train_loss", "val_loss"], rows))
+    datamod.write_csv(history_path, ["epoch", "train_loss", "val_loss"], rows)
     artifacts.append(history_path)
 
     if args.test_out:
@@ -224,7 +210,7 @@ def cmd_predict(args):
         if args.keep_trials:
             row.extend(_fmt(v) for v in s.trials)
         rows.append(row)
-    _write_text(args.out, _csv_text(header, rows))
+    datamod.write_csv(args.out, header, rows)
 
     resolved = {"trials": args.trials, "batch_size": args.batch_size,
                 "loss": ckpt.loss_kind, "model": args.model}
@@ -252,15 +238,22 @@ def _read_predictions(path):
         for line_no, row in enumerate(reader, start=2):
             if len(row) != len(header):
                 _fail(f"{path}: line {line_no}: expected {len(header)} fields, got {len(row)}")
-            ids.append(row[0])
             try:
-                means.append(float(row[1]))
-                stds.append(float(row[2]))
-                trials.append(int(row[3]))
+                mean, std, n_trials = float(row[1]), float(row[2]), int(row[3])
                 if has_raw:
                     raws.append(float(row[4]))
             except ValueError:
                 _fail(f"{path}: line {line_no}: unparseable numeric field")
+            if not (math.isfinite(mean) and math.isfinite(std)):
+                _fail(f"{path}: line {line_no}: mean and std must be finite")
+            if std < 0:
+                _fail(f"{path}: line {line_no}: negative std {std!r}")
+            if n_trials < 1:
+                _fail(f"{path}: line {line_no}: n_trials must be >= 1, got {n_trials}")
+            ids.append(row[0])
+            means.append(mean)
+            stds.append(std)
+            trials.append(n_trials)
     if not ids:
         _fail(f"{path}: no prediction rows")
     raw_arr = np.array(raws) if has_raw else None
@@ -307,7 +300,7 @@ def cmd_evaluate(args):
     report = metrics.build_report(preds_raw, labels_raw, k=args.k,
                                   summaries=summaries, labels_model_space=labels_model,
                                   z_grid=grid)
-    _write_text(args.out, json.dumps(report.to_dict(), indent=1) + "\n")
+    _write_json(args.out, report.to_dict())
     artifacts = [args.out]
 
     curve_path = args.curve_out
@@ -315,7 +308,7 @@ def cmd_evaluate(args):
         stem = args.out[:-5] if args.out.endswith(".json") else args.out
         curve_path = stem + ".curve.csv"
     rows = [(_fmt(z), _fmt(acc)) for z, acc in report.confidence_curve]
-    _write_text(curve_path, _csv_text(["z", "accuracy"], rows))
+    datamod.write_csv(curve_path, ["z", "accuracy"], rows)
     artifacts.append(curve_path)
 
     resolved = {"k": args.k, "z_grid": args.z_grid,
@@ -328,11 +321,16 @@ def cmd_evaluate(args):
 
 
 def _mean_std(values):
+    """Sample mean and std; ValueError if either overflows a double."""
     n = len(values)
-    mean = math.fsum(values) / n
-    if n < 2:
-        return mean, 0.0
-    var = math.fsum((v - mean) ** 2 for v in values) / (n - 1)
+    try:
+        mean = math.fsum(values) / n
+        var = math.fsum((v - mean) ** 2 for v in values) / (n - 1) if n > 1 else 0.0
+    except OverflowError:
+        mean = var = math.inf
+    if not (math.isfinite(mean) and math.isfinite(var)):
+        _fail(f"metric spread over reps overflows (values up to {max(map(abs, values)):.3g}); "
+              "the model's predictions are out of range")
     return mean, math.sqrt(var)
 
 
@@ -368,7 +366,7 @@ def cmd_sweep_trials(args):
               f"mape@{args.k:g} {m_mean:.4f} +/- {m_std:.5f}")
 
     header = ["trials", "gini_mean", "gini_std", "mape_mean", "mape_std"]
-    _write_text(args.out, _csv_text(header, rows))
+    datamod.write_csv(args.out, header, rows)
     resolved = {"grid": grid, "reps": args.reps, "k": args.k,
                 "batch_size": args.batch_size, "model": args.model}
     _write_manifest(args.out, "sweep-trials", resolved, seed, [args.out], started)
@@ -378,18 +376,8 @@ def cmd_sweep_trials(args):
 
 def cmd_compare(args):
     started = time.time()
-    dataset = datamod.load_csv(args.data)
-    doc = _load_train_config(args.config)
-    train_dict = dict(doc.get("train", {}))
-    model_dict = dict(doc.get("model", {}))
-    test_fraction = float(doc.get("test_fraction", 0.2))
-    if not 0.0 < test_fraction < 1.0:
-        _fail(f"test_fraction must be in (0, 1), got {test_fraction}")
-    seed = _resolve_seed(args.seed, train_dict.get("master_seed"))
-    train_dict["master_seed"] = seed
-
-    train_raw, test_raw = datamod.split(dataset, 1.0 - test_fraction, seed)
-    train_std, test_std = datamod.standardize(train_raw, test_raw)
+    train_dict, model_dict, test_fraction, seed, (_, test_raw), (train_std, test_std) = \
+        _prepare_training(args)
     labels = test_raw.labels
 
     def fit(kind, loss):
@@ -431,7 +419,7 @@ def cmd_compare(args):
               f"hit@{args.k:g}={hit:.4f}")
 
     header = ["model", "normalized_gini", "top_k_mape", "top_k_hit_rate"]
-    _write_text(args.out, _csv_text(header, rows))
+    datamod.write_csv(args.out, header, rows)
     resolved = {"train": train_dict, "model": model_dict,
                 "test_fraction": test_fraction, "trials": args.trials, "k": args.k}
     _write_manifest(args.out, "compare", resolved, seed, [args.out], started)

@@ -7,6 +7,7 @@ generator couples a latent score to both purchase propensity and purchase
 amount so that ranking metrics on the result are learnable.
 """
 
+import contextlib
 import csv
 import math
 import os
@@ -15,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .losses import _sigmoid
 from .numcore import RngStream, ensure_finite
 
 # Generator shape constants: propensity slope, amount location offset and
@@ -100,15 +102,6 @@ def latent_score(x: np.ndarray) -> np.ndarray:
     return 0.8 * c0 + 0.6 * np.tanh(c1 + c2) + 0.3 * c2 * c3
 
 
-def _sigmoid(z):
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
-
-
 def _calibrate_intercept(score, target_rate):
     """Bisect b so that mean(sigmoid(slope*score + b)) == target_rate."""
     lo, hi = -60.0, 60.0
@@ -145,25 +138,44 @@ def generate_synthetic(cfg: SynthConfig) -> Dataset:
     return Dataset(ids=ids, features=x, labels=labels)
 
 
-def save_csv(data: Dataset, path):
-    """Write id,f0..f{d-1},label rows atomically. Floats use repr, which
-    round-trips doubles exactly, so save -> load is lossless."""
-    header = ["id"] + [f"f{j}" for j in range(data.dim)] + ["label"]
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), suffix=".tmp")
+@contextlib.contextmanager
+def atomic_open(path):
+    """Yield a UTF-8 text handle (newline="") whose content replaces path
+    only when the block completes: the target keeps its old content or gets
+    the complete new content, never a partial file. The file gets the mode
+    a plain open(path, "w") gives a new file under the current umask."""
+    umask = os.umask(0o022)
+    os.umask(umask)
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), prefix=".ltvmcd-")
     try:
-        with os.fdopen(fd, "w", newline="") as f:
-            w = csv.writer(f, lineterminator="\n")
-            w.writerow(header)
-            for i in range(data.n):
-                row = [data.ids[i]]
-                row += [repr(float(v)) for v in data.features[i]]
-                row.append(repr(float(data.labels[i])))
-                w.writerow(row)
+        with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
+            os.fchmod(fd, 0o666 & ~umask)  # the temp file starts at 0600
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def write_csv(path, header, rows):
+    """Write the header and rows atomically as CSV with Unix line ends."""
+    with atomic_open(path) as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def save_csv(data: Dataset, path):
+    """Write id,f0..f{d-1},label rows atomically, streaming row by row.
+    Floats use repr, which round-trips doubles exactly, so save -> load is
+    lossless."""
+    header = ["id"] + [f"f{j}" for j in range(data.dim)] + ["label"]
+    rows = (
+        [data.ids[i], *(repr(float(v)) for v in data.features[i]), repr(float(data.labels[i]))]
+        for i in range(data.n)
+    )
+    write_csv(path, header, rows)
 
 
 def load_csv(path) -> Dataset:

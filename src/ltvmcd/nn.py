@@ -18,13 +18,12 @@ eval mode needs no rescaling.
 
 import json
 import math
-import os
-import tempfile
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import numcore
+from . import losses, numcore
+from .data import atomic_open
 from .numcore import NumericError, RngStream, ShapeError
 
 MODES = ("train", "mc_sample", "eval")
@@ -179,13 +178,8 @@ class Network:
         return self.head.out_dim
 
     def params(self):
-        """Parameter matrices in fixed traversal order (cross, deep, head)."""
-        out = []
-        for layer in self.stack + self.cross + self.deep:
-            out.extend(layer.params())
-        if self.head is not None:
-            out.extend(self.head.params())
-        return out
+        """Parameter matrices in fixed traversal order (stack, cross, deep, head)."""
+        return [p for _, p in self.named_params()]
 
     def named_params(self):
         names = []
@@ -208,35 +202,20 @@ class Network:
         if x.shape[1] != self.input_dim:
             raise ShapeError(f"batch width {x.shape[1]} != network input width {self.input_dim}")
         if self.arch == "mlp":
-            h = x
-            caches = []
-            for layer in self.stack:
-                h, c = layer.forward(h, mode, rng)
-                caches.append(c)
-            numcore.ensure_finite(h, "network output")
-            return h, {"mode": mode, "out_shape": h.shape, "caches": caches}
-        # dcnv2: cross and deep branches in parallel, concat, dense head
-        xl = x
-        cross_caches = []
-        for layer in self.cross:
-            xl, c = layer.forward(x, xl)
-            cross_caches.append(c)
-        h = x
-        deep_caches = []
-        for layer in self.deep:
-            h, c = layer.forward(h, mode, rng)
-            deep_caches.append(c)
-        z = np.concatenate([xl, h], axis=1)
-        y, head_cache = self.head.forward(z, mode, rng)
+            y, caches = _stack_forward(self.stack, x, mode, rng)
+            branches = {"stack": caches}
+        else:
+            # dcnv2: cross and deep branches in parallel, concat, dense head
+            xl = x
+            cross_caches = []
+            for layer in self.cross:
+                xl, c = layer.forward(x, xl)
+                cross_caches.append(c)
+            h, deep_caches = _stack_forward(self.deep, x, mode, rng)
+            y, head_cache = self.head.forward(np.concatenate([xl, h], axis=1), mode, rng)
+            branches = {"cross": cross_caches, "deep": deep_caches, "head": head_cache}
         numcore.ensure_finite(y, "network output")
-        tape = {
-            "mode": mode,
-            "out_shape": y.shape,
-            "cross": cross_caches,
-            "deep": deep_caches,
-            "head": head_cache,
-        }
-        return y, tape
+        return y, {"mode": mode, "out_shape": y.shape, **branches}
 
     def backward(self, tape, grad_out):
         """Reverse-mode gradients. Returns (param_grads, input_grad) with
@@ -248,32 +227,39 @@ class Network:
                 f"upstream grad shape {grad_out.shape} != output shape {tape['out_shape']}"
             )
         if self.arch == "mlp":
-            g = grad_out
-            rev = []
-            for layer, cache in zip(reversed(self.stack), reversed(tape["caches"])):
-                pg, g = layer.backward(cache, g)
-                rev.append(pg)
-            param_grads = [p for pg in reversed(rev) for p in pg]
-            return param_grads, g
+            return _stack_backward(self.stack, tape["stack"], grad_out)
         head_pg, gz = self.head.backward(tape["head"], grad_out)
         d = self.input_dim
         gxl = gz[:, :d]
-        gh = gz[:, d:]
-        deep_rev = []
-        for layer, cache in zip(reversed(self.deep), reversed(tape["deep"])):
-            pg, gh = layer.backward(cache, gh)
-            deep_rev.append(pg)
+        deep_pg, gh = _stack_backward(self.deep, tape["deep"], gz[:, d:])
         gx0 = np.zeros_like(gxl)
         cross_rev = []
         for layer, cache in zip(reversed(self.cross), reversed(tape["cross"])):
             pg, gx0_c, gxl = layer.backward(cache, gxl)
             gx0 += gx0_c
             cross_rev.append(pg)
-        param_grads = [p for pg in reversed(cross_rev) for p in pg]
-        param_grads += [p for pg in reversed(deep_rev) for p in pg]
-        param_grads += head_pg
+        param_grads = [p for pg in reversed(cross_rev) for p in pg] + deep_pg + head_pg
         # initial xl and the deep branch input are both the raw input
         return param_grads, gx0 + gxl + gh
+
+
+def _stack_forward(layers, h, mode, rng):
+    """Run a sequential stack; returns (output, per-layer caches)."""
+    caches = []
+    for layer in layers:
+        h, c = layer.forward(h, mode, rng)
+        caches.append(c)
+    return h, caches
+
+
+def _stack_backward(layers, caches, g):
+    """Walk a sequential stack in reverse; returns (param_grads in the
+    stack's params() order, input grad)."""
+    rev = []
+    for layer, cache in zip(reversed(layers), reversed(caches)):
+        pg, g = layer.backward(cache, g)
+        rev.append(pg)
+    return [p for pg in reversed(rev) for p in pg], g
 
 
 def _he_uniform(out_dim, in_dim, rng: RngStream):
@@ -350,29 +336,35 @@ class Checkpoint:
     norm: tuple | None = None  # (mean, std) per feature
 
 
+# kind -> (class, constructor fields in checkpoint key order)
+_LAYERS = {
+    "dense": (Dense, ("w", "b")),
+    "relu": (Relu, ()),
+    "dropout": (Dropout, ("p",)),
+    "cross": (Cross, ("w", "b")),
+}
+
+# arch -> layer group -> layer kinds it may hold; "head" is a single layer
+_ARCH_GROUPS = {
+    "mlp": {"stack": ("dense", "relu", "dropout")},
+    "dcnv2": {"cross": ("cross",), "deep": ("dense", "relu", "dropout"), "head": ("dense",)},
+}
+
+
 def _layer_doc(layer):
-    if layer.kind == "dense":
-        return {"kind": "dense", "w": layer.w.tolist(), "b": layer.b.tolist()}
-    if layer.kind == "relu":
-        return {"kind": "relu"}
-    if layer.kind == "dropout":
-        return {"kind": "dropout", "p": layer.p}
-    if layer.kind == "cross":
-        return {"kind": "cross", "w": layer.w.tolist(), "b": layer.b.tolist()}
-    raise ValueError(f"unknown layer kind {layer.kind!r}")
+    doc = {"kind": layer.kind}
+    for field in _LAYERS[layer.kind][1]:
+        value = getattr(layer, field)
+        doc[field] = value.tolist() if isinstance(value, np.ndarray) else value
+    return doc
 
 
-def _layer_from_doc(doc):
+def _layer_from_doc(doc, kinds):
     kind = doc["kind"]
-    if kind == "dense":
-        return Dense(doc["w"], doc["b"])
-    if kind == "relu":
-        return Relu()
-    if kind == "dropout":
-        return Dropout(doc["p"])
-    if kind == "cross":
-        return Cross(doc["w"], doc["b"])
-    raise ValueError(f"unknown layer kind {kind!r}")
+    if kind not in kinds:
+        raise ValueError(f"layer kind {kind!r} is not one of {kinds}")
+    cls, fields = _LAYERS[kind]
+    return cls(*(doc[field] for field in fields))
 
 
 def save_checkpoint(path, ckpt: Checkpoint):
@@ -392,43 +384,47 @@ def save_checkpoint(path, ckpt: Checkpoint):
         if ckpt.norm is None
         else {"mean": np.asarray(ckpt.norm[0]).tolist(), "std": np.asarray(ckpt.norm[1]).tolist()},
     }
-    if net.arch == "mlp":
-        doc["stack"] = [_layer_doc(l) for l in net.stack]
-    else:
-        doc["cross"] = [_layer_doc(l) for l in net.cross]
-        doc["deep"] = [_layer_doc(l) for l in net.deep]
-        doc["head"] = _layer_doc(net.head)
-    text = json.dumps(doc, indent=1)
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as f:
-            f.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    for group in _ARCH_GROUPS[net.arch]:
+        layers = getattr(net, group)
+        doc[group] = _layer_doc(layers) if group == "head" else [_layer_doc(l) for l in layers]
+    with atomic_open(path) as f:
+        f.write(json.dumps(doc, indent=1))
 
 
 def load_checkpoint(path) -> Checkpoint:
-    with open(path) as f:
-        doc = json.load(f)
-    if doc.get("format") != CHECKPOINT_FORMAT:
-        raise ValueError(f"{path}: not a {CHECKPOINT_FORMAT} file")
+    """Read a checkpoint written by save_checkpoint. Malformed content
+    (bad JSON, a missing or mistyped key, an unknown arch or layer kind,
+    a norm vector whose length is not input_dim) raises ValueError naming
+    the path."""
+    try:
+        with open(path) as f:
+            return _checkpoint_from_doc(json.load(f))
+    except KeyError as exc:
+        raise ValueError(f"{path}: bad checkpoint: missing key {exc}") from None
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValueError(f"{path}: bad checkpoint: {exc}") from None
+
+
+def _checkpoint_from_doc(doc):
+    if not isinstance(doc, dict) or doc.get("format") != CHECKPOINT_FORMAT:
+        raise ValueError(f"not a {CHECKPOINT_FORMAT} file")
     if doc.get("version") != CHECKPOINT_VERSION:
-        raise ValueError(f"{path}: unsupported checkpoint version {doc.get('version')}")
+        raise ValueError(f"unsupported checkpoint version {doc.get('version')}")
     arch = doc["arch"]
-    if arch == "mlp":
-        net = Network("mlp", doc["input_dim"], stack=[_layer_from_doc(d) for d in doc["stack"]])
-    else:
-        net = Network(
-            "dcnv2",
-            doc["input_dim"],
-            cross=[_layer_from_doc(d) for d in doc["cross"]],
-            deep=[_layer_from_doc(d) for d in doc["deep"]],
-            head=_layer_from_doc(doc["head"]),
-        )
+    if not isinstance(arch, str) or arch not in _ARCH_GROUPS:
+        raise ValueError(f"unknown architecture {arch!r}")
+    groups = {}
+    for group, kinds in _ARCH_GROUPS[arch].items():
+        if group == "head":
+            groups[group] = _layer_from_doc(doc[group], kinds)
+        else:
+            groups[group] = [_layer_from_doc(d, kinds) for d in doc[group]]
+    net = Network(arch, doc["input_dim"], **groups)
+    loss_kind = doc.get("loss", "log_mse")
+    losses.loss_fn(loss_kind)  # validates the name
     norm = doc.get("norm")
     if norm is not None:
         norm = (np.asarray(norm["mean"], dtype=np.float64), np.asarray(norm["std"], dtype=np.float64))
-    return Checkpoint(network=net, loss_kind=doc.get("loss", "log_mse"), norm=norm)
+        if norm[0].shape != (net.input_dim,) or norm[1].shape != (net.input_dim,):
+            raise ValueError(f"norm vectors must have length input_dim={net.input_dim}")
+    return Checkpoint(network=net, loss_kind=loss_kind, norm=norm)

@@ -1,6 +1,5 @@
 """Mini-batch training loop and the finite-difference gradient checker."""
 
-import json
 import math
 from dataclasses import dataclass, asdict
 
@@ -41,11 +40,6 @@ class TrainConfig:
         if unknown:
             raise ValueError(f"unknown train config keys: {sorted(unknown)}")
         return cls(**doc)
-
-    @classmethod
-    def from_json(cls, path):
-        with open(path) as f:
-            return cls.from_dict(json.load(f))
 
     def to_dict(self):
         return asdict(self)
