@@ -7,7 +7,7 @@ __version__ = "0.1.0"
 
 from .data import Dataset, SynthConfig, generate_synthetic, load_csv, save_csv
 from .losses import log_mse, ziln_loss, ziln_predict
-from .mcd import McdConfig, PredictionSummary, confidence_interval, mcd_predict
+from .mcd import McdConfig, McdResult, PredictionSummary, confidence_interval, mcd_predict
 from .metrics import (
     MetricsReport,
     build_report,
@@ -30,6 +30,7 @@ __all__ = [
     "ziln_loss",
     "ziln_predict",
     "McdConfig",
+    "McdResult",
     "PredictionSummary",
     "confidence_interval",
     "mcd_predict",

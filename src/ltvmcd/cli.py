@@ -15,7 +15,6 @@ Exit codes: 0 success, 2 usage error, 1 runtime error.
 """
 
 import argparse
-import csv
 import json
 import math
 import os
@@ -27,7 +26,7 @@ import numpy as np
 from . import __version__ as VERSION
 from . import data as datamod
 from . import losses, metrics, nn, trainer
-from .mcd import McdConfig, PredictionSummary, mcd_predict
+from .mcd import McdConfig, McdResult, mcd_predict
 
 SEED_ENV_VAR = "LTVMCD_SEED"
 
@@ -99,18 +98,24 @@ def _build_network(kind, input_dim, out_dim, model_cfg, seed):
     _fail(f"unknown model kind {kind!r}")
 
 
-def _standardized_for(ckpt, dataset):
+def _prepare_inference(args):
+    """Shared start of predict and sweep-trials: load the checkpoint and the
+    dataset, standardize the features with the checkpoint's norm, and
+    resolve the seed. Returns (checkpoint, standardized dataset, seed)."""
+    ckpt = nn.load_checkpoint(args.model)
+    dataset = datamod.load_csv(args.data)
     feats = dataset.features
     if ckpt.norm is not None:
         feats = datamod.apply_standardization(feats, ckpt.norm[0], ckpt.norm[1])
-    return datamod.Dataset(dataset.ids, feats, dataset.labels)
+    seed = _resolve_seed(args.seed, None)
+    return ckpt, datamod.Dataset(dataset.ids, feats, dataset.labels), seed
 
 
 def _raw_space(loss_kind, means):
     """Map per-sample MCD means into raw currency amounts."""
     if loss_kind == "log_mse":
         return np.expm1(means)
-    return np.asarray(means, dtype=float)
+    return means
 
 
 def cmd_gen_data(args):
@@ -186,15 +191,26 @@ def cmd_train(args):
     return 0
 
 
+def _prediction_rows(result, raw_space):
+    """Predictions CSV rows from the columns. raw_mean goes through
+    math.expm1 per value: np.expm1 can differ from it in the last bit."""
+    means = result.mean.tolist()
+    columns = [result.ids, map(_fmt, means), map(_fmt, result.std.tolist()),
+               result.n_trials.tolist()]
+    if raw_space:
+        columns.append(_fmt(math.expm1(m)) for m in means)
+    rows = zip(*columns)
+    if result.trials is None:
+        return rows
+    return ([*row, *map(_fmt, trials.tolist())] for row, trials in zip(rows, result.trials))
+
+
 def cmd_predict(args):
     started = time.time()
-    ckpt = nn.load_checkpoint(args.model)
-    dataset = datamod.load_csv(args.data)
-    ds = _standardized_for(ckpt, dataset)
-    seed = _resolve_seed(args.seed, None)
+    ckpt, ds, seed = _prepare_inference(args)
     cfg = McdConfig(trials=args.trials, master_seed=seed, batch_size=args.batch_size)
-    summaries = mcd_predict(ckpt.network, ds, cfg, loss_kind=ckpt.loss_kind,
-                            keep_trials=args.keep_trials)
+    result = mcd_predict(ckpt.network, ds, cfg, loss_kind=ckpt.loss_kind,
+                         keep_trials=args.keep_trials)
 
     header = ["id", "mean", "std", "n_trials"]
     raw_space = ckpt.loss_kind == "log_mse"
@@ -202,62 +218,55 @@ def cmd_predict(args):
         header.append("raw_mean")
     if args.keep_trials:
         header.extend(f"t{j}" for j in range(args.trials))
-    rows = []
-    for s in summaries:
-        row = [s.sample_id, _fmt(s.mean), _fmt(s.std), s.n_trials]
-        if raw_space:
-            row.append(_fmt(math.expm1(s.mean)))
-        if args.keep_trials:
-            row.extend(_fmt(v) for v in s.trials)
-        rows.append(row)
-    datamod.write_csv(args.out, header, rows)
+    datamod.write_csv(args.out, header, _prediction_rows(result, raw_space))
 
     resolved = {"trials": args.trials, "batch_size": args.batch_size,
                 "loss": ckpt.loss_kind, "model": args.model}
     _write_manifest(args.out, "predict", resolved, seed, [args.out], started)
-    print(f"wrote {len(summaries)} predictions ({args.trials} trials) to {args.out}")
+    print(f"wrote {len(result)} predictions ({args.trials} trials) to {args.out}")
     return 0
 
 
 def _read_predictions(path):
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
+    """Parse a predictions CSV into (McdResult, raw_mean column or None)."""
+    rows = datamod.csv_rows(path)
+    try:
+        _, header = next(rows)
+    except StopIteration:
+        _fail(f"{path}: empty predictions file")
+    base = ["id", "mean", "std", "n_trials"]
+    if header[:4] != base:
+        _fail(f"{path}: unexpected header {header[:5]}")
+    rest = header[4:]
+    has_raw = bool(rest) and rest[0] == "raw_mean"
+    trial_cols = rest[1:] if has_raw else rest
+    if trial_cols != [f"t{j}" for j in range(len(trial_cols))]:
+        _fail(f"{path}: unexpected trailing columns {trial_cols[:3]}")
+    ids, means, stds, trials, raws = [], [], [], [], []
+    for line_no, row in rows:
+        if len(row) != len(header):
+            _fail(f"{path}: line {line_no}: expected {len(header)} fields, got {len(row)}")
         try:
-            header = next(reader)
-        except StopIteration:
-            _fail(f"{path}: empty predictions file")
-        base = ["id", "mean", "std", "n_trials"]
-        if header[:4] != base:
-            _fail(f"{path}: unexpected header {header[:5]}")
-        rest = header[4:]
-        has_raw = bool(rest) and rest[0] == "raw_mean"
-        trial_cols = rest[1:] if has_raw else rest
-        if trial_cols != [f"t{j}" for j in range(len(trial_cols))]:
-            _fail(f"{path}: unexpected trailing columns {trial_cols[:3]}")
-        ids, means, stds, trials, raws = [], [], [], [], []
-        for line_no, row in enumerate(reader, start=2):
-            if len(row) != len(header):
-                _fail(f"{path}: line {line_no}: expected {len(header)} fields, got {len(row)}")
-            try:
-                mean, std, n_trials = float(row[1]), float(row[2]), int(row[3])
-                if has_raw:
-                    raws.append(float(row[4]))
-            except ValueError:
-                _fail(f"{path}: line {line_no}: unparseable numeric field")
-            if not (math.isfinite(mean) and math.isfinite(std)):
-                _fail(f"{path}: line {line_no}: mean and std must be finite")
-            if std < 0:
-                _fail(f"{path}: line {line_no}: negative std {std!r}")
-            if n_trials < 1:
-                _fail(f"{path}: line {line_no}: n_trials must be >= 1, got {n_trials}")
-            ids.append(row[0])
-            means.append(mean)
-            stds.append(std)
-            trials.append(n_trials)
+            mean, std, n_trials = float(row[1]), float(row[2]), int(row[3])
+            if has_raw:
+                raws.append(float(row[4]))
+        except ValueError:
+            _fail(f"{path}: line {line_no}: unparseable numeric field")
+        if not (math.isfinite(mean) and math.isfinite(std)):
+            _fail(f"{path}: line {line_no}: mean and std must be finite")
+        if std < 0:
+            _fail(f"{path}: line {line_no}: negative std {std!r}")
+        if not 1 <= n_trials < 2**63:
+            _fail(f"{path}: line {line_no}: n_trials must be in [1, 2**63), got {row[3]}")
+        ids.append(row[0])
+        means.append(mean)
+        stds.append(std)
+        trials.append(n_trials)
     if not ids:
         _fail(f"{path}: no prediction rows")
-    raw_arr = np.array(raws) if has_raw else None
-    return ids, np.array(means), np.array(stds), trials, raw_arr
+    result = McdResult(ids=ids, mean=np.array(means), std=np.array(stds),
+                       n_trials=np.array(trials, dtype=np.int64))
+    return result, np.array(raws) if has_raw else None
 
 
 def _parse_z_grid(spec_str):
@@ -277,11 +286,11 @@ def _parse_z_grid(spec_str):
 
 def cmd_evaluate(args):
     started = time.time()
-    ids, means, stds, trials, raw_means = _read_predictions(args.preds)
+    result, raw_means = _read_predictions(args.preds)
     dataset = datamod.load_csv(args.data)
-    if len(ids) != dataset.n:
-        _fail(f"{len(ids)} predictions vs {dataset.n} data rows")
-    for i, (pid, did) in enumerate(zip(ids, dataset.ids)):
+    if len(result) != dataset.n:
+        _fail(f"{len(result)} predictions vs {dataset.n} data rows")
+    for i, (pid, did) in enumerate(zip(result.ids, dataset.ids)):
         if pid != did:
             _fail(f"id mismatch at row {i}: predictions have {pid!r}, data has {did!r}")
 
@@ -290,15 +299,11 @@ def cmd_evaluate(args):
         preds_raw = raw_means
         labels_model = np.log1p(labels_raw)
     else:
-        preds_raw = means
+        preds_raw = result.mean
         labels_model = labels_raw
-    summaries = [
-        PredictionSummary(sample_id=i, mean=float(m), std=float(s), n_trials=t)
-        for i, m, s, t in zip(ids, means, stds, trials)
-    ]
     grid = _parse_z_grid(args.z_grid)
     report = metrics.build_report(preds_raw, labels_raw, k=args.k,
-                                  summaries=summaries, labels_model_space=labels_model,
+                                  summaries=result, labels_model_space=labels_model,
                                   z_grid=grid)
     _write_json(args.out, report.to_dict())
     artifacts = [args.out]
@@ -336,10 +341,7 @@ def _mean_std(values):
 
 def cmd_sweep_trials(args):
     started = time.time()
-    ckpt = nn.load_checkpoint(args.model)
-    dataset = datamod.load_csv(args.data)
-    ds = _standardized_for(ckpt, dataset)
-    seed = _resolve_seed(args.seed, None)
+    ckpt, ds, seed = _prepare_inference(args)
     try:
         grid = [int(t) for t in args.grid.split(",")]
     except ValueError:
@@ -349,14 +351,14 @@ def cmd_sweep_trials(args):
     if args.reps < 1:
         _fail("reps must be >= 1")
 
-    labels = dataset.labels
+    labels = ds.labels
     rows = []
     for t in grid:
         ginis, mapes = [], []
         for rep in range(args.reps):
             cfg = McdConfig(trials=t, master_seed=seed + rep, batch_size=args.batch_size)
-            summaries = mcd_predict(ckpt.network, ds, cfg, loss_kind=ckpt.loss_kind)
-            preds_raw = _raw_space(ckpt.loss_kind, [s.mean for s in summaries])
+            result = mcd_predict(ckpt.network, ds, cfg, loss_kind=ckpt.loss_kind)
+            preds_raw = _raw_space(ckpt.loss_kind, result.mean)
             ginis.append(metrics.normalized_gini(preds_raw, labels))
             mapes.append(metrics.top_k_mape(preds_raw, labels, args.k))
         g_mean, g_std = _mean_std(ginis)
@@ -395,8 +397,7 @@ def cmd_compare(args):
 
     def mcd_preds(net, loss):
         cfg = McdConfig(trials=args.trials, master_seed=seed)
-        summaries = mcd_predict(net, test_std, cfg, loss_kind=loss)
-        return _raw_space(loss, [s.mean for s in summaries])
+        return _raw_space(loss, mcd_predict(net, test_std, cfg, loss_kind=loss).mean)
 
     mlp = fit("mlp", "log_mse")
     dcn = fit("dcnv2", "log_mse")

@@ -146,7 +146,10 @@ def atomic_open(path):
     a plain open(path, "w") gives a new file under the current umask."""
     umask = os.umask(0o022)
     os.umask(umask)
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), prefix=".ltvmcd-")
+    try:
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), prefix=".ltvmcd-")
+    except OSError as exc:  # name the target, not the temp file
+        raise type(exc)(exc.errno, exc.strerror, os.fspath(path)) from None
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
             os.fchmod(fd, 0o666 & ~umask)  # the temp file starts at 0600
@@ -178,34 +181,47 @@ def save_csv(data: Dataset, path):
     write_csv(path, header, rows)
 
 
-def load_csv(path) -> Dataset:
-    with open(path, newline="") as f:
-        reader = csv.reader(f)
+def csv_rows(path):
+    """Yield (line number, fields) for each row of a CSV file, read as UTF-8
+    with newline="" as write_csv writes it. A row the csv module cannot
+    parse (say, a field over its size limit) raises CsvFormatError naming
+    the line."""
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        lineno = 0
         try:
-            header = next(reader)
-        except StopIteration:
-            raise CsvFormatError(f"{path}: empty file") from None
-        d = len(header) - 2
-        expected = ["id"] + [f"f{j}" for j in range(d)] + ["label"]
-        if d < 1 or header != expected:
-            raise CsvFormatError(f"{path}: line 1: bad header {header!r}")
-        ids = []
-        feats = []
-        labels = []
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != d + 2:
-                raise CsvFormatError(f"{path}: line {lineno}: expected {d + 2} fields, got {len(row)}")
-            try:
-                values = [float(v) for v in row[1:]]
-            except ValueError as e:
-                raise CsvFormatError(f"{path}: line {lineno}: {e}") from None
-            if not all(math.isfinite(v) for v in values):
-                raise CsvFormatError(f"{path}: line {lineno}: non-finite value")
-            if values[-1] < 0:
-                raise CsvFormatError(f"{path}: line {lineno}: negative label {values[-1]}")
-            ids.append(row[0])
-            feats.append(values[:-1])
-            labels.append(values[-1])
+            for lineno, row in enumerate(csv.reader(fh), start=1):
+                yield lineno, row
+        except csv.Error as exc:
+            raise CsvFormatError(f"{path}: line {lineno + 1}: {exc}") from None
+
+
+def load_csv(path) -> Dataset:
+    rows = csv_rows(path)
+    try:
+        _, header = next(rows)
+    except StopIteration:
+        raise CsvFormatError(f"{path}: empty file") from None
+    d = len(header) - 2
+    expected = ["id"] + [f"f{j}" for j in range(d)] + ["label"]
+    if d < 1 or header != expected:
+        raise CsvFormatError(f"{path}: line 1: bad header {header!r}")
+    ids = []
+    feats = []
+    labels = []
+    for lineno, row in rows:
+        if len(row) != d + 2:
+            raise CsvFormatError(f"{path}: line {lineno}: expected {d + 2} fields, got {len(row)}")
+        try:
+            values = [float(v) for v in row[1:]]
+        except ValueError as e:
+            raise CsvFormatError(f"{path}: line {lineno}: {e}") from None
+        if not all(math.isfinite(v) for v in values):
+            raise CsvFormatError(f"{path}: line {lineno}: non-finite value")
+        if values[-1] < 0:
+            raise CsvFormatError(f"{path}: line {lineno}: negative label {values[-1]}")
+        ids.append(row[0])
+        feats.append(values[:-1])
+        labels.append(values[-1])
     if not ids:
         raise CsvFormatError(f"{path}: no data rows")
     return Dataset(ids=ids, features=np.array(feats), labels=np.array(labels))

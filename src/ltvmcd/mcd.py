@@ -7,13 +7,13 @@ outermost; every batch inside one trial re-derives the same stream and
 therefore sees the same masks (one mask per layer per trial, shared
 across all samples), regardless of inference batching.
 
-Summaries hold the mean and sample standard deviation of each sample's
-trial vector in the model's output space. For log-MSE models that is
-log1p space; conversion to raw amounts happens at the metrics boundary.
-ZILN heads are reduced to their expected raw amount per trial.
+The result holds, as columns, the mean and sample standard deviation of
+each sample's trial vector in the model's output space. For log-MSE
+models that is log1p space; conversion to raw amounts happens at the
+metrics boundary. ZILN heads are reduced to their expected raw amount
+per trial.
 """
 
-import math
 from dataclasses import dataclass
 from statistics import NormalDist
 
@@ -47,6 +47,44 @@ class PredictionSummary:
     trials: np.ndarray | None = None  # retained only on request
 
 
+@dataclass
+class McdResult:
+    """MCD output for n samples as columns: ids (list), mean and std
+    (float64, shape (n,)), n_trials (int64, shape (n,)), and the (n, T)
+    trial matrix when kept. r[i] is sample i's PredictionSummary."""
+
+    ids: list
+    mean: np.ndarray
+    std: np.ndarray
+    n_trials: np.ndarray
+    trials: np.ndarray | None = None
+
+    @classmethod
+    def stack(cls, summaries):
+        """One result from a sequence of PredictionSummary."""
+        return cls(
+            ids=[s.sample_id for s in summaries],
+            mean=np.array([s.mean for s in summaries], dtype=np.float64),
+            std=np.array([s.std for s in summaries], dtype=np.float64),
+            n_trials=np.array([s.n_trials for s in summaries], dtype=np.int64),
+        )
+
+    def __len__(self):
+        return len(self.ids)
+
+    def __getitem__(self, i):
+        return PredictionSummary(
+            sample_id=self.ids[i],
+            mean=float(self.mean[i]),
+            std=float(self.std[i]),
+            n_trials=int(self.n_trials[i]),
+            trials=None if self.trials is None else self.trials[i].copy(),
+        )
+
+    def __iter__(self):
+        return (self[i] for i in range(len(self)))
+
+
 def _scalarize(kind, out):
     if kind == "log_mse":
         return out[:, 0]
@@ -58,7 +96,7 @@ def _scalarize(kind, out):
 def mcd_predict(net, data, cfg: McdConfig, loss_kind="log_mse", keep_trials=False):
     """Run T mc_sample forward passes over the dataset, then per-sample
     mean and sample std of the resulting trial vectors, aggregated in
-    ascending trial order.
+    ascending trial order. Returns an McdResult.
 
     A network without active dropout short-circuits to one eval pass per
     chunk: every trial would return the identical output, whose exact
@@ -93,20 +131,13 @@ def mcd_predict(net, data, cfg: McdConfig, loss_kind="log_mse", keep_trials=Fals
             stds = np.sqrt((devs * devs).sum(axis=1) / (t - 1))
         else:
             stds = np.zeros(n)
-    return [
-        PredictionSummary(
-            sample_id=data.ids[i],
-            mean=float(means[i]),
-            std=float(stds[i]),
-            n_trials=t,
-            trials=trials[i].copy() if keep_trials else None,
-        )
-        for i in range(n)
-    ]
+    return McdResult(list(data.ids), means, stds, np.full(n, t, dtype=np.int64),
+                     trials if keep_trials else None)
 
 
-def confidence_interval(summary: PredictionSummary, z, quantile=False):
-    """Closed interval mean ± z·std/sqrt(T).
+def confidence_interval(summary, z, quantile=False):
+    """Closed interval mean ± z·std/sqrt(T) of one PredictionSummary, or
+    elementwise arrays (lo, hi) of a whole McdResult.
 
     By default z is the literal multiplier in [0, 1]. With quantile=True,
     z is instead read as a central coverage level and mapped through the
@@ -120,5 +151,5 @@ def confidence_interval(summary: PredictionSummary, z, quantile=False):
         if not 0.0 <= z <= 1.0:
             raise ValueError("confidence threshold z must be in [0, 1]")
         mult = z
-    half = mult * summary.std / math.sqrt(summary.n_trials)
+    half = mult * summary.std / np.sqrt(summary.n_trials)
     return summary.mean - half, summary.mean + half

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .mcd import confidence_interval
+from .mcd import McdResult, confidence_interval
 from .numcore import NumericError, ShapeError
 
 
@@ -118,13 +118,14 @@ def default_z_grid():
     return np.round(np.arange(21) * 0.05, 12)
 
 
-def confidence_curve(summaries, labels_model_space, z_grid=None, quantile=False):
+def confidence_curve(summaries, labels_model_space, z_grid=None):
     """Fraction of samples whose label falls inside the closed interval
     mean ± z·std/sqrt(T), for each z in the grid.
 
-    Labels must be in the model's output space (log1p of the raw amount
-    for log-MSE models). Returns a list of (z, accuracy) pairs; accuracy
-    is non-decreasing in z because the intervals nest.
+    summaries is an McdResult or a sequence of PredictionSummary. Labels
+    must be in the model's output space (log1p of the raw amount for
+    log-MSE models). Returns a list of (z, accuracy) pairs; accuracy is
+    non-decreasing in z because the intervals nest.
     """
     if z_grid is None:
         z_grid = default_z_grid()
@@ -134,18 +135,17 @@ def confidence_curve(summaries, labels_model_space, z_grid=None, quantile=False)
     if np.any(np.diff(zs) <= 0):
         raise ValueError("z grid must be strictly increasing")
     labels = _as_vector(labels_model_space, "labels")
-    if len(summaries) != labels.shape[0]:
-        raise ShapeError(f"{len(summaries)} summaries vs {labels.shape[0]} labels")
-    if len(summaries) == 0:
+    result = summaries if isinstance(summaries, McdResult) else McdResult.stack(summaries)
+    n = len(result)
+    if n != labels.shape[0]:
+        raise ShapeError(f"{n} summaries vs {labels.shape[0]} labels")
+    if n == 0:
         raise ShapeError("no samples")
     curve = []
     for z in zs:
-        hits = 0
-        for summary, y in zip(summaries, labels):
-            lo, hi = confidence_interval(summary, float(z), quantile=quantile)
-            if lo <= y <= hi:
-                hits += 1
-        curve.append((float(z), hits / len(summaries)))
+        lo, hi = confidence_interval(result, float(z))
+        hits = np.count_nonzero((lo <= labels) & (labels <= hi))
+        curve.append((float(z), hits / n))
     return curve
 
 
@@ -190,16 +190,17 @@ class MetricsReport:
 
 
 def build_report(preds_raw, labels_raw, k=0.05, summaries=None,
-                 labels_model_space=None, z_grid=None, quantile=False):
+                 labels_model_space=None, z_grid=None):
     """Compute the full metric bundle on raw-space predictions, with an
-    optional confidence curve when MCD summaries are available.
+    optional confidence curve when MCD summaries (an McdResult or a
+    sequence of PredictionSummary) are available.
     """
     p, a = _check_pair(preds_raw, labels_raw)
     curve = None
     if summaries is not None:
         if labels_model_space is None:
             raise ValueError("labels_model_space is required alongside summaries")
-        curve = confidence_curve(summaries, labels_model_space, z_grid, quantile=quantile)
+        curve = confidence_curve(summaries, labels_model_space, z_grid)
     return MetricsReport(
         n=a.shape[0],
         k=k,

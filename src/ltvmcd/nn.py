@@ -394,8 +394,9 @@ def save_checkpoint(path, ckpt: Checkpoint):
 def load_checkpoint(path) -> Checkpoint:
     """Read a checkpoint written by save_checkpoint. Malformed content
     (bad JSON, a missing or mistyped key, an unknown arch or layer kind,
-    a norm vector whose length is not input_dim) raises ValueError naming
-    the path."""
+    layer widths that do not chain, a head width that does not fit the
+    loss, a norm vector whose length is not input_dim) raises ValueError
+    naming the path."""
     try:
         with open(path) as f:
             return _checkpoint_from_doc(json.load(f))
@@ -422,6 +423,12 @@ def _checkpoint_from_doc(doc):
     net = Network(arch, doc["input_dim"], **groups)
     loss_kind = doc.get("loss", "log_mse")
     losses.loss_fn(loss_kind)  # validates the name
+    # a zero-row pass runs every layer's shape check on the chain of widths
+    out, _ = net.forward(np.zeros((0, net.input_dim)), "eval")
+    width = losses.head_width(loss_kind)
+    if out.shape[1] != width:
+        raise ValueError(f"head width {out.shape[1]} does not fit loss {loss_kind!r}, "
+                         f"which needs {width}")
     norm = doc.get("norm")
     if norm is not None:
         norm = (np.asarray(norm["mean"], dtype=np.float64), np.asarray(norm["std"], dtype=np.float64))

@@ -116,6 +116,11 @@ def short_norm(doc):
     (without_kind, "missing key 'kind'"),
     (unknown_arch, "unknown architecture 'resnet'"),
     (short_norm, "norm"),
+    pytest.param(lambda doc: doc["stack"][-1].update(w=doc["stack"][-1]["w"] * 3,
+                                                     b=doc["stack"][-1]["b"] * 3),
+                 "head width 3 does not fit loss 'log_mse'", id="ziln_head_as_log_mse"),
+    pytest.param(lambda doc: [row.pop() for row in doc["stack"][0]["w"]],
+                 "matmul shape mismatch", id="dropped_weight_column"),
 ])
 def test_malformed_checkpoint_exits_1(tmp_path, capsys, breakage, needle):
     doc = json.loads(json.dumps(DOCS["mlp"]))
@@ -190,6 +195,8 @@ def test_broken_checkpoint_loads_or_raises_value_error(doc):
     ("nan", "0.5", "4"),
     ("1.0", "inf", "4"),
     ("-inf", "0.5", "4"),
+    pytest.param("1.0", "0.5", str(2**63), id="1.0-0.5-2**63"),
+    pytest.param("1.0", "0.5", "1" + "0" * 400, id="1.0-0.5-10**400"),
 ])
 def test_bad_prediction_row_exits_1(tmp_path, capsys, mean, std, n_trials):
     ds = small_dataset(n=3)
