@@ -2,9 +2,10 @@
 prediction, evaluation, trial-count sweeps, and a model comparison table.
 
 Every command is a pure function of its inputs, config, and master seed,
-so re-running a command reproduces its artifacts byte for byte. Outputs
-are written atomically (temp file, then rename) and each run leaves one
-manifest at <out>.manifest.json recording the resolved config; the
+so re-running a command reproduces its artifacts byte for byte. Each
+cmd_*(args, out) writes every artifact to out.path(target) and returns
+(resolved config, seed); main() stages the manifest <out>.manifest.json
+last and commits them all together, only if the command succeeded. The
 manifest's duration field is wall-clock and is the one part of a run
 that is not reproducible.
 
@@ -26,7 +27,7 @@ import numpy as np
 from . import __version__ as VERSION
 from . import data as datamod
 from . import losses, metrics, nn, trainer
-from .mcd import McdConfig, McdResult, mcd_predict
+from .mcd import McdConfig, McdResult, _scalarize, mcd_predict
 
 SEED_ENV_VAR = "LTVMCD_SEED"
 
@@ -71,18 +72,6 @@ def _fmt(value):
     return repr(float(value))
 
 
-def _write_manifest(out_path, command, config, seed, artifacts, started):
-    doc = {
-        "command": command,
-        "config": config,
-        "master_seed": seed,
-        "artifacts": list(artifacts),
-        "version": VERSION,
-        "duration_seconds": round(time.time() - started, 3),
-    }
-    _write_json(out_path + ".manifest.json", doc)
-
-
 def _build_network(kind, input_dim, out_dim, model_cfg, seed):
     cfg = dict(model_cfg)
     dropout = float(cfg.pop("dropout", DEFAULT_DROPOUT))
@@ -118,19 +107,17 @@ def _raw_space(loss_kind, means):
     return means
 
 
-def cmd_gen_data(args):
-    started = time.time()
+def cmd_gen_data(args, out):
     raw = _load_json(args.config)
     seed = _resolve_seed(args.seed, raw.get("master_seed"))
     raw["master_seed"] = seed
     cfg = datamod.SynthConfig.from_dict(raw)
     dataset = datamod.generate_synthetic(cfg)
-    datamod.save_csv(dataset, args.out)
-    _write_manifest(args.out, "gen-data", raw, seed, [args.out], started)
+    datamod.save_csv(dataset, out.path(args.out))
     positives = float(np.mean(dataset.labels > 0))
     print(f"wrote {dataset.n} rows x {dataset.dim} features to {args.out} "
           f"(positive rate {positives:.4f})")
-    return 0
+    return raw, seed
 
 
 def _load_train_config(path):
@@ -159,8 +146,7 @@ def _prepare_training(args):
     return train_dict, model_dict, test_fraction, seed, raw, datamod.standardize(*raw)
 
 
-def cmd_train(args):
-    started = time.time()
+def cmd_train(args, out):
     train_dict, model_dict, test_fraction, seed, (train_raw, test_raw), (train_std, _) = \
         _prepare_training(args)
     cfg = trainer.TrainConfig.from_dict({**train_dict, "loss": args.loss})
@@ -170,25 +156,20 @@ def cmd_train(args):
 
     ckpt = nn.Checkpoint(network=net, loss_kind=args.loss,
                          norm=(train_std.norm_mean, train_std.norm_std))
-    nn.save_checkpoint(args.out, ckpt)
-    artifacts = [args.out]
+    nn.save_checkpoint(out.path(args.out), ckpt)
 
     history_path = args.history_out or args.out + ".history.csv"
     rows = [(epoch, _fmt(tr), _fmt(val)) for epoch, tr, val in history]
-    datamod.write_csv(history_path, ["epoch", "train_loss", "val_loss"], rows)
-    artifacts.append(history_path)
+    datamod.write_csv(out.path(history_path), ["epoch", "train_loss", "val_loss"], rows)
 
     if args.test_out:
-        datamod.save_csv(test_raw, args.test_out)
-        artifacts.append(args.test_out)
+        datamod.save_csv(test_raw, out.path(args.test_out))
 
-    resolved = {"train": cfg.to_dict(), "model": model_dict,
-                "test_fraction": test_fraction, "model_kind": args.model}
-    _write_manifest(args.out, "train", resolved, seed, artifacts, started)
     print(f"trained {args.model}/{args.loss} on {train_raw.n} rows, "
           f"{len(history)} epochs, final val loss {history[-1][2]:.6g}; "
           f"checkpoint at {args.out}")
-    return 0
+    return {"train": cfg.to_dict(), "model": model_dict,
+            "test_fraction": test_fraction, "model_kind": args.model}, seed
 
 
 def _prediction_rows(result, raw_space):
@@ -205,8 +186,7 @@ def _prediction_rows(result, raw_space):
     return ([*row, *map(_fmt, trials.tolist())] for row, trials in zip(rows, result.trials))
 
 
-def cmd_predict(args):
-    started = time.time()
+def cmd_predict(args, out):
     ckpt, ds, seed = _prepare_inference(args)
     cfg = McdConfig(trials=args.trials, master_seed=seed, batch_size=args.batch_size)
     result = mcd_predict(ckpt.network, ds, cfg, loss_kind=ckpt.loss_kind,
@@ -218,13 +198,10 @@ def cmd_predict(args):
         header.append("raw_mean")
     if args.keep_trials:
         header.extend(f"t{j}" for j in range(args.trials))
-    datamod.write_csv(args.out, header, _prediction_rows(result, raw_space))
-
-    resolved = {"trials": args.trials, "batch_size": args.batch_size,
-                "loss": ckpt.loss_kind, "model": args.model}
-    _write_manifest(args.out, "predict", resolved, seed, [args.out], started)
+    datamod.write_csv(out.path(args.out), header, _prediction_rows(result, raw_space))
     print(f"wrote {len(result)} predictions ({args.trials} trials) to {args.out}")
-    return 0
+    return {"trials": args.trials, "batch_size": args.batch_size,
+            "loss": ckpt.loss_kind, "model": args.model}, seed
 
 
 def _read_predictions(path):
@@ -258,6 +235,12 @@ def _read_predictions(path):
             _fail(f"{path}: line {line_no}: negative std {std!r}")
         if not 1 <= n_trials < 2**63:
             _fail(f"{path}: line {line_no}: n_trials must be in [1, 2**63), got {row[3]}")
+        try:
+            consistent = not has_raw or raws[-1] == math.expm1(mean)
+        except OverflowError:  # predict cannot write a mean this large
+            consistent = False
+        if not consistent:
+            _fail(f"{path}: line {line_no}: raw_mean {row[4]} is not expm1(mean)")
         ids.append(row[0])
         means.append(mean)
         stds.append(std)
@@ -284,8 +267,7 @@ def _parse_z_grid(spec_str):
     return grid[grid <= stop + 1e-12]
 
 
-def cmd_evaluate(args):
-    started = time.time()
+def cmd_evaluate(args, out):
     result, raw_means = _read_predictions(args.preds)
     dataset = datamod.load_csv(args.data)
     if len(result) != dataset.n:
@@ -305,24 +287,18 @@ def cmd_evaluate(args):
     report = metrics.build_report(preds_raw, labels_raw, k=args.k,
                                   summaries=result, labels_model_space=labels_model,
                                   z_grid=grid)
-    _write_json(args.out, report.to_dict())
-    artifacts = [args.out]
+    _write_json(out.path(args.out), report.to_dict())
 
     curve_path = args.curve_out
     if curve_path is None:
         stem = args.out[:-5] if args.out.endswith(".json") else args.out
         curve_path = stem + ".curve.csv"
     rows = [(_fmt(z), _fmt(acc)) for z, acc in report.confidence_curve]
-    datamod.write_csv(curve_path, ["z", "accuracy"], rows)
-    artifacts.append(curve_path)
-
-    resolved = {"k": args.k, "z_grid": args.z_grid,
-                "preds": args.preds, "data": args.data}
-    _write_manifest(args.out, "evaluate", resolved, 0, artifacts, started)
+    datamod.write_csv(out.path(curve_path), ["z", "accuracy"], rows)
     print(f"n={report.n} gini={report.normalized_gini:.4f} "
           f"mape@{args.k:g}={report.top_k_mape:.4f} "
           f"hit@{args.k:g}={report.top_k_hit_rate:.4f}; report at {args.out}")
-    return 0
+    return {"k": args.k, "z_grid": args.z_grid, "preds": args.preds, "data": args.data}, 0
 
 
 def _mean_std(values):
@@ -339,8 +315,7 @@ def _mean_std(values):
     return mean, math.sqrt(var)
 
 
-def cmd_sweep_trials(args):
-    started = time.time()
+def cmd_sweep_trials(args, out):
     ckpt, ds, seed = _prepare_inference(args)
     try:
         grid = [int(t) for t in args.grid.split(",")]
@@ -368,16 +343,13 @@ def cmd_sweep_trials(args):
               f"mape@{args.k:g} {m_mean:.4f} +/- {m_std:.5f}")
 
     header = ["trials", "gini_mean", "gini_std", "mape_mean", "mape_std"]
-    datamod.write_csv(args.out, header, rows)
-    resolved = {"grid": grid, "reps": args.reps, "k": args.k,
-                "batch_size": args.batch_size, "model": args.model}
-    _write_manifest(args.out, "sweep-trials", resolved, seed, [args.out], started)
+    datamod.write_csv(out.path(args.out), header, rows)
     print(f"sweep table at {args.out}")
-    return 0
+    return {"grid": grid, "reps": args.reps, "k": args.k,
+            "batch_size": args.batch_size, "model": args.model}, seed
 
 
-def cmd_compare(args):
-    started = time.time()
+def cmd_compare(args, out):
     train_dict, model_dict, test_fraction, seed, (_, test_raw), (train_std, test_std) = \
         _prepare_training(args)
     labels = test_raw.labels
@@ -390,10 +362,8 @@ def cmd_compare(args):
         return net
 
     def eval_preds(net, loss):
-        out, _ = net.forward(test_std.features, "eval")
-        if loss == "ziln":
-            return losses.ziln_predict(out)
-        return _raw_space(loss, out[:, 0])
+        head, _ = net.forward(test_std.features, "eval")
+        return _raw_space(loss, _scalarize(loss, head))
 
     def mcd_preds(net, loss):
         cfg = McdConfig(trials=args.trials, master_seed=seed)
@@ -420,12 +390,10 @@ def cmd_compare(args):
               f"hit@{args.k:g}={hit:.4f}")
 
     header = ["model", "normalized_gini", "top_k_mape", "top_k_hit_rate"]
-    datamod.write_csv(args.out, header, rows)
-    resolved = {"train": train_dict, "model": model_dict,
-                "test_fraction": test_fraction, "trials": args.trials, "k": args.k}
-    _write_manifest(args.out, "compare", resolved, seed, [args.out], started)
+    datamod.write_csv(out.path(args.out), header, rows)
     print(f"comparison table at {args.out}")
-    return 0
+    return {"train": train_dict, "model": model_dict,
+            "test_fraction": test_fraction, "trials": args.trials, "k": args.k}, seed
 
 
 def build_parser():
@@ -508,11 +476,18 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
+    started = time.time()
     try:
-        return args.func(args)
+        with datamod.staged_outputs() as out:
+            config, seed = args.func(args, out)
+            manifest = {"command": args.command, "config": config, "master_seed": seed,
+                        "artifacts": out.targets, "version": VERSION,
+                        "duration_seconds": round(time.time() - started, 3)}
+            _write_json(out.path(args.out + ".manifest.json"), manifest)
     except (ValueError, OSError) as exc:
         print(f"ltvmcd: error: {exc}", file=sys.stderr)
         return 1
+    return 0
 
 
 if __name__ == "__main__":

@@ -1,5 +1,5 @@
-"""Synthetic zero-inflated spend data, CSV ingestion, split, and
-feature standardization.
+"""Synthetic zero-inflated spend data, staged output files, CSV ingestion,
+split, and feature standardization.
 
 Labels are raw currency amounts over the prediction horizon; every log
 transform lives at the loss/metrics boundary, never in storage. The
@@ -138,27 +138,54 @@ def generate_synthetic(cfg: SynthConfig) -> Dataset:
     return Dataset(ids=ids, features=x, labels=labels)
 
 
+class StagedOutputs:
+    """The (target, temp file) pairs of one staged_outputs() block."""
+
+    def __init__(self):
+        self.staged = []
+
+    @property
+    def targets(self):
+        return [target for target, _ in self.staged]
+
+    def path(self, target):
+        """Reserve a temp file beside target, with the mode open(target, "w")
+        gives a new file under the current umask, and return its name."""
+        umask = os.umask(0o022)
+        os.umask(umask)
+        try:
+            fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(target)), prefix=".ltvmcd-")
+        except OSError as exc:  # name the target, not the temp file
+            raise type(exc)(exc.errno, exc.strerror, os.fspath(target)) from None
+        self.staged.append((target, tmp))
+        os.fchmod(fd, 0o666 & ~umask)  # the temp file starts at 0600
+        os.close(fd)
+        return tmp
+
+
+@contextlib.contextmanager
+def staged_outputs():
+    """Yield a StagedOutputs. When the block completes, each temp file
+    replaces its target in staging order, one rename each; if it raises,
+    every temp file is removed and no target is touched."""
+    out = StagedOutputs()
+    try:
+        yield out
+        for target, tmp in out.staged:
+            os.replace(tmp, target)
+    except BaseException:  # a temp file already renamed is gone
+        for _, tmp in out.staged:
+            with contextlib.suppress(FileNotFoundError):
+                os.unlink(tmp)
+        raise
+
+
 @contextlib.contextmanager
 def atomic_open(path):
     """Yield a UTF-8 text handle (newline="") whose content replaces path
-    only when the block completes: the target keeps its old content or gets
-    the complete new content, never a partial file. The file gets the mode
-    a plain open(path, "w") gives a new file under the current umask."""
-    umask = os.umask(0o022)
-    os.umask(umask)
-    try:
-        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), prefix=".ltvmcd-")
-    except OSError as exc:  # name the target, not the temp file
-        raise type(exc)(exc.errno, exc.strerror, os.fspath(path)) from None
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
-            os.fchmod(fd, 0o666 & ~umask)  # the temp file starts at 0600
-            yield fh
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    only when the block completes, never partially."""
+    with staged_outputs() as out, open(out.path(path), "w", encoding="utf-8", newline="") as fh:
+        yield fh
 
 
 def write_csv(path, header, rows):

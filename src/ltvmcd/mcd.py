@@ -109,28 +109,23 @@ def mcd_predict(net, data, cfg: McdConfig, loss_kind="log_mse", keep_trials=Fals
     n = x.shape[0]
     t = cfg.trials
     step = cfg.batch_size if cfg.batch_size > 0 else n
-    degenerate = hasattr(net, "stochastic") and not net.stochastic()
-    if degenerate:
-        means = np.empty(n)
+    stochastic = getattr(net, "stochastic", lambda: True)()
+    mode, passes = ("mc_sample", t) if stochastic else ("eval", 1)
+    trials = np.empty((n, passes))
+    for j in range(passes):
         for start in range(0, n, step):
-            out, _ = net.forward(x[start : start + step], "eval")
-            means[start : start + step] = _scalarize(loss_kind, out)
-        stds = np.zeros(n)
-        trials = np.tile(means[:, None], (1, t))
+            # fresh stream per chunk: replays the trial's mask sequence
+            rng = RngStream(cfg.master_seed, f"mcd/{j}") if stochastic else None
+            out, _ = net.forward(x[start : start + step], mode, rng)
+            trials[start : start + step, j] = _scalarize(loss_kind, out)
+    means = trials.mean(axis=1)
+    if passes > 1:
+        devs = trials - means[:, None]
+        stds = np.sqrt((devs * devs).sum(axis=1) / (passes - 1))
     else:
-        trials = np.empty((n, t))
-        for j in range(t):
-            for start in range(0, n, step):
-                # fresh stream per chunk: replays the trial's mask sequence
-                rng = RngStream(cfg.master_seed, f"mcd/{j}")
-                out, _ = net.forward(x[start : start + step], "mc_sample", rng)
-                trials[start : start + step, j] = _scalarize(loss_kind, out)
-        means = trials.mean(axis=1)
-        if t > 1:
-            devs = trials - means[:, None]
-            stds = np.sqrt((devs * devs).sum(axis=1) / (t - 1))
-        else:
-            stds = np.zeros(n)
+        stds = np.zeros(n)
+    if keep_trials and passes < t:
+        trials = np.repeat(trials, t, axis=1)
     return McdResult(list(data.ids), means, stds, np.full(n, t, dtype=np.int64),
                      trials if keep_trials else None)
 
