@@ -21,6 +21,7 @@ import math
 import os
 import sys
 import time
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -28,13 +29,55 @@ from . import __version__ as VERSION
 from . import data as datamod
 from . import losses, metrics, nn, trainer
 from .mcd import McdConfig, McdResult, _scalarize, mcd_predict
+from .numcore import from_json
 
 SEED_ENV_VAR = "LTVMCD_SEED"
 
-DEFAULT_HIDDEN_DIMS = [128, 64, 32]
-DEFAULT_DEEP_DIMS = [64, 32]
-DEFAULT_N_CROSS = 2
-DEFAULT_DROPOUT = 0.2
+# Most points a --z-grid may have; 0:1:0.0001 is the finest full grid.
+MAX_Z_POINTS = 10_001
+
+
+@dataclass
+class ModelConfig:
+    """The model section of a train config file. The MLP reads hidden_dims
+    and dropout; DCNv2 reads n_cross, deep_dims and dropout."""
+
+    hidden_dims: list[int] = field(default_factory=lambda: [128, 64, 32])
+    dropout: float = 0.2
+    n_cross: int = 2
+    deep_dims: list[int] = field(default_factory=lambda: [64, 32])
+
+    def build(self, kind, input_dim, out_dim, seed):
+        """The untrained network of model kind "mlp" or "dcnv2"."""
+        if kind == "mlp":
+            return nn.build_mlp(input_dim, self.hidden_dims, self.dropout,
+                                out_dim=out_dim, seed=seed)
+        return nn.build_dcnv2(input_dim, self.n_cross, self.deep_dims, self.dropout,
+                              out_dim=out_dim, seed=seed)
+
+
+@dataclass
+class TrainSection(trainer.TrainConfig):
+    """The train section of a config file: every TrainConfig field but
+    loss, which --loss (train) or the table row (compare) sets."""
+
+    loss: str = field(default="log_mse", init=False)
+
+    def with_loss(self, loss):
+        return trainer.TrainConfig(**{**asdict(self), "loss": loss})
+
+
+@dataclass
+class TrainFile:
+    """A train or compare config file."""
+
+    train: TrainSection = field(default_factory=TrainSection)
+    model: ModelConfig = field(default_factory=ModelConfig)
+    test_fraction: float = 0.2
+
+    def __post_init__(self):
+        if not 0.0 < self.test_fraction < 1.0:
+            raise ValueError(f"test_fraction must be in (0, 1), got {self.test_fraction}")
 
 
 def _fail(message):
@@ -48,19 +91,19 @@ def _resolve_seed(flag_seed, config_seed):
             return int(env)
         except ValueError:
             _fail(f"{SEED_ENV_VAR} must be an integer, got {env!r}")
-    if flag_seed is not None:
-        return flag_seed
-    if config_seed is not None:
-        return int(config_seed)
-    return 0
+    return config_seed if flag_seed is None else flag_seed
 
 
-def _load_json(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if not isinstance(doc, dict):
-        _fail(f"{path}: expected a JSON object at top level")
-    return doc
+def _load_config(cls, path):
+    """The JSON config file at path as dataclass cls, through from_json;
+    ValueError naming the file if it is not valid JSON or does not fit."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return from_json(cls, json.load(fh))
+    except RecursionError:
+        _fail(f"{path}: JSON nested too deeply")
+    except ValueError as exc:
+        _fail(f"{path}: {exc}")
 
 
 def _write_json(path, doc):
@@ -72,21 +115,6 @@ def _fmt(value):
     return repr(float(value))
 
 
-def _build_network(kind, input_dim, out_dim, model_cfg, seed):
-    cfg = dict(model_cfg)
-    dropout = float(cfg.pop("dropout", DEFAULT_DROPOUT))
-    hidden = [int(h) for h in cfg.pop("hidden_dims", DEFAULT_HIDDEN_DIMS)]
-    n_cross = int(cfg.pop("n_cross", DEFAULT_N_CROSS))
-    deep = [int(h) for h in cfg.pop("deep_dims", DEFAULT_DEEP_DIMS)]
-    if cfg:
-        _fail(f"unknown model config keys: {sorted(cfg)}")
-    if kind == "mlp":
-        return nn.build_mlp(input_dim, hidden, dropout, out_dim=out_dim, seed=seed)
-    if kind == "dcnv2":
-        return nn.build_dcnv2(input_dim, n_cross, deep, dropout, out_dim=out_dim, seed=seed)
-    _fail(f"unknown model kind {kind!r}")
-
-
 def _prepare_inference(args):
     """Shared start of predict and sweep-trials: load the checkpoint and the
     dataset, standardize the features with the checkpoint's norm, and
@@ -96,7 +124,7 @@ def _prepare_inference(args):
     feats = dataset.features
     if ckpt.norm is not None:
         feats = datamod.apply_standardization(feats, ckpt.norm[0], ckpt.norm[1])
-    seed = _resolve_seed(args.seed, None)
+    seed = _resolve_seed(args.seed, 0)
     return ckpt, datamod.Dataset(dataset.ids, feats, dataset.labels), seed
 
 
@@ -108,50 +136,32 @@ def _raw_space(loss_kind, means):
 
 
 def cmd_gen_data(args, out):
-    raw = _load_json(args.config)
-    seed = _resolve_seed(args.seed, raw.get("master_seed"))
-    raw["master_seed"] = seed
-    cfg = datamod.SynthConfig.from_dict(raw)
+    cfg = _load_config(datamod.SynthConfig, args.config)
+    cfg = replace(cfg, master_seed=_resolve_seed(args.seed, cfg.master_seed))
     dataset = datamod.generate_synthetic(cfg)
     datamod.save_csv(dataset, out.path(args.out))
     positives = float(np.mean(dataset.labels > 0))
     print(f"wrote {dataset.n} rows x {dataset.dim} features to {args.out} "
           f"(positive rate {positives:.4f})")
-    return raw, seed
-
-
-def _load_train_config(path):
-    doc = _load_json(path) if path else {}
-    unknown = set(doc) - {"train", "model", "test_fraction"}
-    if unknown:
-        _fail(f"unknown config sections: {sorted(unknown)}")
-    return doc
+    return asdict(cfg), cfg.master_seed
 
 
 def _prepare_training(args):
-    """Shared start of train and compare: load the dataset and the train
-    config, resolve the seed, split off the test fraction, and standardize
-    on the train split. Returns (train_dict, model_dict, test_fraction,
-    seed, (train_raw, test_raw), (train_std, test_std))."""
-    dataset = datamod.load_csv(args.data)
-    doc = _load_train_config(args.config)
-    train_dict = dict(doc.get("train", {}))
-    model_dict = dict(doc.get("model", {}))
-    test_fraction = float(doc.get("test_fraction", 0.2))
-    if not 0.0 < test_fraction < 1.0:
-        _fail(f"test_fraction must be in (0, 1), got {test_fraction}")
-    seed = _resolve_seed(args.seed, train_dict.get("master_seed"))
-    train_dict["master_seed"] = seed
-    raw = datamod.split(dataset, 1.0 - test_fraction, seed)
-    return train_dict, model_dict, test_fraction, seed, raw, datamod.standardize(*raw)
+    """Shared start of train and compare: read the config file, resolve the
+    seed, load the dataset, split off the test fraction, and standardize
+    on the train split. Returns (TrainFile with the seed resolved, seed,
+    (train_raw, test_raw), (train_std, test_std))."""
+    cfg = _load_config(TrainFile, args.config) if args.config else TrainFile()
+    seed = _resolve_seed(args.seed, cfg.train.master_seed)
+    cfg = replace(cfg, train=replace(cfg.train, master_seed=seed))
+    raw = datamod.split(datamod.load_csv(args.data), 1.0 - cfg.test_fraction, seed)
+    return cfg, seed, raw, datamod.standardize(*raw)
 
 
 def cmd_train(args, out):
-    train_dict, model_dict, test_fraction, seed, (train_raw, test_raw), (train_std, _) = \
-        _prepare_training(args)
-    cfg = trainer.TrainConfig.from_dict({**train_dict, "loss": args.loss})
-    net = _build_network(args.model, train_std.dim, losses.head_width(args.loss),
-                         model_dict, seed)
+    file_cfg, seed, (train_raw, test_raw), (train_std, _) = _prepare_training(args)
+    cfg = file_cfg.train.with_loss(args.loss)
+    net = file_cfg.model.build(args.model, train_std.dim, losses.head_width(args.loss), seed)
     net, history = trainer.train(net, train_std, cfg)
 
     ckpt = nn.Checkpoint(network=net, loss_kind=args.loss,
@@ -168,22 +178,16 @@ def cmd_train(args, out):
     print(f"trained {args.model}/{args.loss} on {train_raw.n} rows, "
           f"{len(history)} epochs, final val loss {history[-1][2]:.6g}; "
           f"checkpoint at {args.out}")
-    return {"train": cfg.to_dict(), "model": model_dict,
-            "test_fraction": test_fraction, "model_kind": args.model}, seed
+    return {**asdict(file_cfg), "train": asdict(cfg), "model_kind": args.model}, seed
 
 
-def _prediction_rows(result, raw_space):
-    """Predictions CSV rows from the columns. raw_mean goes through
-    math.expm1 per value: np.expm1 can differ from it in the last bit."""
-    means = result.mean.tolist()
-    columns = [result.ids, map(_fmt, means), map(_fmt, result.std.tolist()),
-               result.n_trials.tolist()]
-    if raw_space:
-        columns.append(_fmt(math.expm1(m)) for m in means)
-    rows = zip(*columns)
-    if result.trials is None:
-        return rows
-    return ([*row, *map(_fmt, trials.tolist())] for row, trials in zip(rows, result.trials))
+def _raw_mean(mean):
+    """A predictions row's raw_mean: math.expm1(mean), or None where that
+    overflows. Per value, since np.expm1 can differ in the last bit."""
+    try:
+        return math.expm1(mean)
+    except OverflowError:
+        return None
 
 
 def cmd_predict(args, out):
@@ -193,12 +197,22 @@ def cmd_predict(args, out):
                          keep_trials=args.keep_trials)
 
     header = ["id", "mean", "std", "n_trials"]
-    raw_space = ckpt.loss_kind == "log_mse"
-    if raw_space:
+    means = result.mean.tolist()
+    columns = [result.ids, map(_fmt, means), map(_fmt, result.std.tolist()),
+               result.n_trials.tolist()]
+    if ckpt.loss_kind == "log_mse":
+        raw = [_raw_mean(m) for m in means]
+        if None in raw:
+            i = raw.index(None)
+            _fail(f"id {result.ids[i]!r}: mean {means[i]!r} overflows expm1; "
+                  "the model's predictions are out of range")
         header.append("raw_mean")
+        columns.append(map(_fmt, raw))
+    rows = zip(*columns)
     if args.keep_trials:
         header.extend(f"t{j}" for j in range(args.trials))
-    datamod.write_csv(out.path(args.out), header, _prediction_rows(result, raw_space))
+        rows = ([*row, *map(_fmt, trials.tolist())] for row, trials in zip(rows, result.trials))
+    datamod.write_csv(out.path(args.out), header, rows)
     print(f"wrote {len(result)} predictions ({args.trials} trials) to {args.out}")
     return {"trials": args.trials, "batch_size": args.batch_size,
             "loss": ckpt.loss_kind, "model": args.model}, seed
@@ -235,11 +249,7 @@ def _read_predictions(path):
             _fail(f"{path}: line {line_no}: negative std {std!r}")
         if not 1 <= n_trials < 2**63:
             _fail(f"{path}: line {line_no}: n_trials must be in [1, 2**63), got {row[3]}")
-        try:
-            consistent = not has_raw or raws[-1] == math.expm1(mean)
-        except OverflowError:  # predict cannot write a mean this large
-            consistent = False
-        if not consistent:
+        if has_raw and raws[-1] != _raw_mean(mean):
             _fail(f"{path}: line {line_no}: raw_mean {row[4]} is not expm1(mean)")
         ids.append(row[0])
         means.append(mean)
@@ -260,8 +270,10 @@ def _parse_z_grid(spec_str):
         start, stop, step = (float(p) for p in parts)
     except ValueError:
         _fail(f"z grid fields must be numbers, got {spec_str!r}")
-    if step <= 0 or stop < start:
-        _fail(f"z grid needs step > 0 and stop >= start, got {spec_str!r}")
+    if not (0.0 <= start <= stop <= 1.0 and 0.0 < step < math.inf
+            and stop - start <= step * (MAX_Z_POINTS - 1)):  # NaN fails too
+        _fail(f"z grid needs 0 <= start <= stop <= 1, a finite step > 0 and at "
+              f"most {MAX_Z_POINTS} points, got {spec_str!r}")
     count = int(round((stop - start) / step)) + 1
     grid = np.round(start + step * np.arange(count), 12)
     return grid[grid <= stop + 1e-12]
@@ -350,15 +362,12 @@ def cmd_sweep_trials(args, out):
 
 
 def cmd_compare(args, out):
-    train_dict, model_dict, test_fraction, seed, (_, test_raw), (train_std, test_std) = \
-        _prepare_training(args)
+    file_cfg, seed, (_, test_raw), (train_std, test_std) = _prepare_training(args)
     labels = test_raw.labels
 
     def fit(kind, loss):
-        cfg = trainer.TrainConfig.from_dict({**train_dict, "loss": loss})
-        net = _build_network(kind, train_std.dim, losses.head_width(loss),
-                             model_dict, seed)
-        net, _ = trainer.train(net, train_std, cfg)
+        net = file_cfg.model.build(kind, train_std.dim, losses.head_width(loss), seed)
+        net, _ = trainer.train(net, train_std, file_cfg.train.with_loss(loss))
         return net
 
     def eval_preds(net, loss):
@@ -392,8 +401,9 @@ def cmd_compare(args, out):
     header = ["model", "normalized_gini", "top_k_mape", "top_k_hit_rate"]
     datamod.write_csv(out.path(args.out), header, rows)
     print(f"comparison table at {args.out}")
-    return {"train": train_dict, "model": model_dict,
-            "test_fraction": test_fraction, "trials": args.trials, "k": args.k}, seed
+    config = asdict(file_cfg)
+    del config["train"]["loss"]  # each row sets its own
+    return {**config, "trials": args.trials, "k": args.k}, seed
 
 
 def build_parser():
@@ -484,8 +494,8 @@ def main(argv=None):
                         "artifacts": out.targets, "version": VERSION,
                         "duration_seconds": round(time.time() - started, 3)}
             _write_json(out.path(args.out + ".manifest.json"), manifest)
-    except (ValueError, OSError) as exc:
-        print(f"ltvmcd: error: {exc}", file=sys.stderr)
+    except (ValueError, OSError, MemoryError) as exc:
+        print(f"ltvmcd: error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
     return 0
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .losses import _sigmoid
-from .numcore import RngStream, ensure_finite
+from .numcore import RngStream, ensure_finite, from_json
 
 # Generator shape constants: propensity slope, amount location offset and
 # slope per unit of latent score.
@@ -85,13 +85,7 @@ class SynthConfig:
         if self.noise_sigma <= 0:
             raise ValueError("noise_sigma must be > 0")
 
-    @classmethod
-    def from_dict(cls, doc):
-        known = {"n", "dim", "zero_inflation", "noise_sigma", "master_seed"}
-        unknown = set(doc) - known
-        if unknown:
-            raise ValueError(f"unknown synth config keys: {sorted(unknown)}")
-        return cls(**doc)
+    from_dict = classmethod(from_json)
 
 
 def latent_score(x: np.ndarray) -> np.ndarray:

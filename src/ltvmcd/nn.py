@@ -393,16 +393,16 @@ def save_checkpoint(path, ckpt: Checkpoint):
 
 def load_checkpoint(path) -> Checkpoint:
     """Read a checkpoint written by save_checkpoint. Malformed content
-    (bad JSON, a missing or mistyped key, an unknown arch or layer kind,
-    layer widths that do not chain, a head width that does not fit the
-    loss, a norm vector whose length is not input_dim) raises ValueError
-    naming the path."""
+    (bad or too deeply nested JSON, a missing or mistyped key, an unknown
+    arch or layer kind, layer widths that do not chain, a head width that
+    does not fit the loss, a norm vector whose length is not input_dim)
+    raises ValueError naming the path."""
     try:
         with open(path) as f:
             return _checkpoint_from_doc(json.load(f))
     except KeyError as exc:
         raise ValueError(f"{path}: bad checkpoint: missing key {exc}") from None
-    except (TypeError, ValueError, OverflowError) as exc:
+    except (TypeError, ValueError, OverflowError, RecursionError) as exc:
         raise ValueError(f"{path}: bad checkpoint: {exc}") from None
 
 

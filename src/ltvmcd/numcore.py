@@ -1,12 +1,17 @@
 """Numeric substrate: dense float64 matrices, labeled deterministic RNG
-streams, and the Adam optimizer.
+streams, the Adam optimizer, and typed config dataclasses from JSON.
 
 A "matrix" throughout this package is a 2-D float64 numpy array in
 row-major order. Operations here validate shapes and reject non-finite
 values, so callers can assume clean numerics downstream.
 """
 
+import dataclasses
 import hashlib
+import json
+import sys
+import types
+import typing
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -143,3 +148,75 @@ def adam_step(state: AdamState, params, grads):
         v_hat = state.v[i] / bc2
         p -= state.learning_rate * m_hat / (np.sqrt(v_hat) + state.eps)
     return params
+
+
+def from_json(cls, doc, where="config"):
+    """Build dataclass cls from a parsed JSON object, checking every value
+    against its field's annotation: int takes an integer but not a bool,
+    float a finite integer or float, str a string, list[X] a list of X,
+    X | None also null, and a dataclass-typed field an object, built the
+    same way. Absent keys take the field defaults; fields that __init__
+    does not take are not keys. A non-object, an unknown or missing key,
+    or a mistyped value raises ValueError naming its dotted path, such as
+    config.model.hidden_dims[0]; a range check of cls.__post_init__ that
+    fails is prefixed with the path of its object."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"{where} must be an object, got {_json_text(doc)}")
+    fields = {f.name: f for f in dataclasses.fields(cls) if f.init}
+    unknown = sorted(set(doc) - set(fields))
+    if unknown:
+        raise ValueError(f"{where}: unknown keys {unknown}")
+    hints = typing.get_type_hints(cls)
+    kwargs = {}
+    for name, f in fields.items():
+        if name in doc:
+            kwargs[name] = _typed_value(hints[name], doc[name], f"{where}.{name}")
+        elif f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING:
+            raise ValueError(f"{where}.{name} is required")
+    try:
+        return cls(**kwargs)
+    except ValueError as exc:
+        raise ValueError(f"{where}: {exc}") from None
+
+
+def _typed_value(declared, value, where):
+    tp = declared
+    if typing.get_origin(tp) in (typing.Union, types.UnionType):  # X | None
+        if value is None:
+            return None
+        (tp,) = [a for a in typing.get_args(tp) if a is not type(None)]
+    if dataclasses.is_dataclass(tp):
+        return from_json(tp, value, where)
+    if typing.get_origin(tp) is list:
+        if isinstance(value, list):
+            (item,) = typing.get_args(tp)
+            return [_typed_value(item, v, f"{where}[{i}]") for i, v in enumerate(value)]
+    elif tp is float:
+        if (isinstance(value, (int, float)) and not isinstance(value, bool)
+                and abs(value) <= sys.float_info.max):  # NaN and inf fail too
+            return float(value)
+    elif isinstance(value, tp) and not isinstance(value, bool):
+        return value
+    raise ValueError(f"{where} must be {_json_type(declared)}, got {_json_text(value)}")
+
+
+def _json_type(tp):
+    """The JSON type annotation tp takes, as an error message names it."""
+    if typing.get_origin(tp) in (typing.Union, types.UnionType):
+        return " or ".join(_json_type(a) for a in typing.get_args(tp))
+    if typing.get_origin(tp) is list:
+        return "a list"
+    if dataclasses.is_dataclass(tp):
+        return "an object"
+    return {int: "an integer", float: "a finite number", str: "a string",
+            type(None): "null"}[tp]
+
+
+def _json_text(value):
+    """value as JSON for an error message, containers named, not shown."""
+    if isinstance(value, list):
+        return "a list"
+    if isinstance(value, dict):
+        return "an object"
+    text = json.dumps(value, default=repr)
+    return text if len(text) <= 40 else text[:40] + "..."

@@ -6,7 +6,7 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from . import losses
-from .numcore import AdamState, NumericError, RngStream, ShapeError, adam_step
+from .numcore import AdamState, NumericError, RngStream, ShapeError, adam_step, from_json
 
 
 @dataclass
@@ -33,13 +33,7 @@ class TrainConfig:
             raise ValueError("patience must be >= 1 or None")
         losses.loss_fn(self.loss)  # validates the name
 
-    @classmethod
-    def from_dict(cls, doc):
-        known = set(cls.__dataclass_fields__)
-        unknown = set(doc) - known
-        if unknown:
-            raise ValueError(f"unknown train config keys: {sorted(unknown)}")
-        return cls(**doc)
+    from_dict = classmethod(from_json)
 
     def to_dict(self):
         return asdict(self)
