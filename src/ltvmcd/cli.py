@@ -47,6 +47,15 @@ class ModelConfig:
     n_cross: int = 2
     deep_dims: list[int] = field(default_factory=lambda: [64, 32])
 
+    def __post_init__(self):
+        if not 0.0 <= self.dropout < 1.0:
+            raise ValueError(f"dropout must be in [0, 1), got {self.dropout}")
+        for name in ("hidden_dims", "deep_dims"):
+            if any(d < 1 for d in getattr(self, name)):
+                raise ValueError(f"{name} entries must be >= 1, got {getattr(self, name)}")
+        if self.n_cross < 0:
+            raise ValueError(f"n_cross must be >= 0, got {self.n_cross}")
+
     def build(self, kind, input_dim, out_dim, seed):
         """The untrained network of model kind "mlp" or "dcnv2"."""
         if kind == "mlp":
@@ -339,17 +348,20 @@ def cmd_sweep_trials(args, out):
         _fail("reps must be >= 1")
 
     labels = ds.labels
+    ginis = {t: [] for t in grid}
+    mapes = {t: [] for t in grid}
+    for rep in range(args.reps):
+        # one run at the largest T per rep; each smaller T reads its first trials
+        cfg = McdConfig(trials=max(grid), master_seed=seed + rep, batch_size=args.batch_size)
+        full = mcd_predict(ckpt.network, ds, cfg, loss_kind=ckpt.loss_kind, keep_trials=True)
+        for t in ginis:
+            preds_raw = _raw_space(ckpt.loss_kind, full.first(t).mean)
+            ginis[t].append(metrics.normalized_gini(preds_raw, labels))
+            mapes[t].append(metrics.top_k_mape(preds_raw, labels, args.k))
     rows = []
     for t in grid:
-        ginis, mapes = [], []
-        for rep in range(args.reps):
-            cfg = McdConfig(trials=t, master_seed=seed + rep, batch_size=args.batch_size)
-            result = mcd_predict(ckpt.network, ds, cfg, loss_kind=ckpt.loss_kind)
-            preds_raw = _raw_space(ckpt.loss_kind, result.mean)
-            ginis.append(metrics.normalized_gini(preds_raw, labels))
-            mapes.append(metrics.top_k_mape(preds_raw, labels, args.k))
-        g_mean, g_std = _mean_std(ginis)
-        m_mean, m_std = _mean_std(mapes)
+        g_mean, g_std = _mean_std(ginis[t])
+        m_mean, m_std = _mean_std(mapes[t])
         rows.append((t, _fmt(g_mean), _fmt(g_std), _fmt(m_mean), _fmt(m_std)))
         print(f"T={t}: gini {g_mean:.4f} +/- {g_std:.5f}, "
               f"mape@{args.k:g} {m_mean:.4f} +/- {m_std:.5f}")

@@ -5,7 +5,11 @@ Trial j draws its dropout masks from a stream labeled "mcd/{j}" under the
 run's master seed, so any trial can be replayed in isolation. Trials run
 outermost; every batch inside one trial re-derives the same stream and
 therefore sees the same masks (one mask per layer per trial, shared
-across all samples), regardless of inference batching.
+across all samples), regardless of inference batching. Trial j's stream
+does not depend on T either, so the first t trials of a run at T >= t are
+the trials of the run at T = t: McdResult.first(t) reads that smaller run
+off a kept trial matrix, and sweep-trials pays for max(grid) trials per
+rep, not for the sum of its grid.
 
 The result holds, as columns, the mean and sample standard deviation of
 each sample's trial vector in the model's output space. For log-MSE
@@ -51,13 +55,16 @@ class PredictionSummary:
 class McdResult:
     """MCD output for n samples as columns: ids (list), mean and std
     (float64, shape (n,)), n_trials (int64, shape (n,)), and the (n, T)
-    trial matrix when kept. r[i] is sample i's PredictionSummary."""
+    trial matrix when kept; repeated marks a kept matrix whose columns all
+    copy the one eval pass of a network without active dropout. r[i] is
+    sample i's PredictionSummary."""
 
     ids: list
     mean: np.ndarray
     std: np.ndarray
     n_trials: np.ndarray
     trials: np.ndarray | None = None
+    repeated: bool = False
 
     @classmethod
     def stack(cls, summaries):
@@ -68,6 +75,17 @@ class McdResult:
             std=np.array([s.std for s in summaries], dtype=np.float64),
             n_trials=np.array([s.n_trials for s in summaries], dtype=np.int64),
         )
+
+    def first(self, t):
+        """The result the same run gives at T = t <= T: the moments of the
+        first t trials, as mcd_predict computes them. Needs the trial
+        matrix (keep_trials=True)."""
+        if self.trials is None:
+            raise ValueError("first() needs a result whose trial matrix was kept")
+        if not 1 <= t <= self.trials.shape[1]:
+            raise ValueError(f"t must be in [1, {self.trials.shape[1]}], got {t}")
+        passes = self.trials[:, : 1 if self.repeated else t]
+        return _summarize(list(self.ids), np.ascontiguousarray(passes), t, keep_trials=True)
 
     def __len__(self):
         return len(self.ids)
@@ -118,16 +136,25 @@ def mcd_predict(net, data, cfg: McdConfig, loss_kind="log_mse", keep_trials=Fals
             rng = RngStream(cfg.master_seed, f"mcd/{j}") if stochastic else None
             out, _ = net.forward(x[start : start + step], mode, rng)
             trials[start : start + step, j] = _scalarize(loss_kind, out)
-    means = trials.mean(axis=1)
-    if passes > 1:
-        devs = trials - means[:, None]
-        stds = np.sqrt((devs * devs).sum(axis=1) / (passes - 1))
+    return _summarize(list(data.ids), trials, t, keep_trials)
+
+
+def _summarize(ids, passes, t, keep_trials):
+    """The McdResult of T = t trials from the C-contiguous (n, k) matrix of
+    the passes that ran: k == t, or k == 1 for a network without active
+    dropout, whose one pass stands for every trial."""
+    n, k = passes.shape
+    means = passes.mean(axis=1)
+    if k > 1:
+        devs = passes - means[:, None]
+        stds = np.sqrt((devs * devs).sum(axis=1) / (k - 1))
     else:
         stds = np.zeros(n)
-    if keep_trials and passes < t:
-        trials = np.repeat(trials, t, axis=1)
-    return McdResult(list(data.ids), means, stds, np.full(n, t, dtype=np.int64),
-                     trials if keep_trials else None)
+    trials = None
+    if keep_trials:
+        trials = passes if k == t else np.repeat(passes, t, axis=1)
+    return McdResult(ids, means, stds, np.full(n, t, dtype=np.int64), trials,
+                     repeated=k < t)
 
 
 def confidence_interval(summary, z, quantile=False):

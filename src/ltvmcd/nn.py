@@ -14,6 +14,11 @@ Forward modes:
 Dropout samples one mask per layer per forward pass, shared across every
 row of the batch, and scales surviving units by 1/(1-p) at sample time so
 eval mode needs no rescaling.
+
+Only a train pass keeps a tape for backward. An eval or mc_sample pass
+keeps no per-layer caches, and its relu and dropout layers overwrite
+arrays that an earlier layer of the same pass created (never the caller's
+input), which gives the same bits with fewer allocations.
 """
 
 import json
@@ -51,8 +56,10 @@ class Dense:
     def params(self):
         return [self.w, self.b]
 
-    def forward(self, x, mode="eval", rng=None):
-        return numcore.matmul(x, self.w.T) + self.b, x
+    def forward(self, x, mode="eval", rng=None, inplace=False):
+        y = numcore.matmul(x, self.w.T)
+        y += self.b
+        return y, x
 
     def backward(self, cache, g):
         x = cache
@@ -68,8 +75,9 @@ class Relu:
     def params(self):
         return []
 
-    def forward(self, x, mode="eval", rng=None):
-        return np.maximum(x, 0.0), x
+    def forward(self, x, mode="eval", rng=None, inplace=False):
+        """inplace=True overwrites x with the output."""
+        return np.maximum(x, 0.0, out=x if inplace else None), x
 
     def backward(self, cache, g):
         return [], g * (cache > 0.0)
@@ -96,13 +104,14 @@ class Dropout:
         u = rng.uniform(width)
         return (u >= self.p).astype(np.float64) / (1.0 - self.p)
 
-    def forward(self, x, mode="eval", rng=None):
+    def forward(self, x, mode="eval", rng=None, inplace=False):
+        """inplace=True overwrites x with the output."""
         if mode == "eval" or self.p == 0.0:
             return x, None
         if rng is None:
             raise ValueError("dropout needs an RngStream in train/mc_sample mode")
         mask = self.sample_mask(x.shape[1], rng)
-        return x * mask, mask
+        return np.multiply(x, mask, out=x if inplace else None), mask
 
     def backward(self, cache, g):
         if cache is None:
@@ -129,8 +138,11 @@ class Cross:
     def forward(self, x0, xl):
         if x0.shape != xl.shape or x0.shape[1] != self.w.shape[0]:
             raise ShapeError("cross layer operand widths must all equal d")
-        u = numcore.matmul(xl, self.w.T) + self.b
-        return x0 * u + xl, (x0, xl, u)
+        u = numcore.matmul(xl, self.w.T)
+        u += self.b
+        y = x0 * u
+        y += xl
+        return y, (x0, xl, u)
 
     def backward(self, cache, g):
         x0, xl, u = cache
@@ -193,9 +205,9 @@ class Network:
         return names
 
     def forward(self, x, mode="eval", rng=None):
-        """Run the network; returns (output, tape) where the tape holds the
-        intermediates backward() needs. Identical (x, mode, rng stream)
-        always reproduce the identical output."""
+        """Run the network; returns (output, tape). A train tape holds the
+        intermediates backward() needs; other modes keep none. Identical
+        (x, mode, rng stream) always reproduce the identical output."""
         if mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
         x = numcore.as_matrix(x)
@@ -210,17 +222,23 @@ class Network:
             cross_caches = []
             for layer in self.cross:
                 xl, c = layer.forward(x, xl)
-                cross_caches.append(c)
+                if mode == "train":
+                    cross_caches.append(c)
             h, deep_caches = _stack_forward(self.deep, x, mode, rng)
             y, head_cache = self.head.forward(np.concatenate([xl, h], axis=1), mode, rng)
             branches = {"cross": cross_caches, "deep": deep_caches, "head": head_cache}
         numcore.ensure_finite(y, "network output")
-        return y, {"mode": mode, "out_shape": y.shape, **branches}
+        tape = {"mode": mode, "out_shape": y.shape}
+        if mode == "train":
+            tape.update(branches)
+        return y, tape
 
     def backward(self, tape, grad_out):
         """Reverse-mode gradients. Returns (param_grads, input_grad) with
         param_grads aligned to params(). Dropout masks are reused from the
         tape, so forward and backward see the same mask."""
+        if tape["mode"] != "train":
+            raise ValueError(f"backward needs a train-mode tape, got {tape['mode']!r}")
         grad_out = np.asarray(grad_out, dtype=np.float64)
         if grad_out.shape != tape["out_shape"]:
             raise ShapeError(
@@ -244,12 +262,22 @@ class Network:
 
 
 def _stack_forward(layers, h, mode, rng):
-    """Run a sequential stack; returns (output, per-layer caches)."""
-    caches = []
+    """Run a sequential stack; returns (output, per-layer caches). Outside
+    train mode the caches are None, and each layer whose input an earlier
+    layer of this stack created works in place; the caller's h is never
+    written."""
+    if mode == "train":
+        caches = []
+        for layer in layers:
+            h, c = layer.forward(h, mode, rng)
+            caches.append(c)
+        return h, caches
+    owned = False
     for layer in layers:
-        h, c = layer.forward(h, mode, rng)
-        caches.append(c)
-    return h, caches
+        out, _ = layer.forward(h, mode, rng, inplace=owned)
+        owned = owned or out is not h
+        h = out
+    return h, None
 
 
 def _stack_backward(layers, caches, g):

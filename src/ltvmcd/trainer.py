@@ -27,6 +27,13 @@ class TrainConfig:
             raise ValueError("epochs must be >= 1")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
+        if not self.learning_rate >= 0.0:  # 0 freezes the parameters
+            raise ValueError(f"learning_rate must be >= 0, got {self.learning_rate}")
+        for name in ("beta1", "beta2"):
+            if not 0.0 <= getattr(self, name) < 1.0:
+                raise ValueError(f"{name} must be in [0, 1), got {getattr(self, name)}")
+        if not self.eps > 0.0:
+            raise ValueError(f"eps must be > 0, got {self.eps}")
         if not 0.0 < self.val_fraction < 1.0:
             raise ValueError("val_fraction must be in (0, 1)")
         if self.patience is not None and self.patience < 1:
