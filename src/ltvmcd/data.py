@@ -5,10 +5,19 @@ Labels are raw currency amounts over the prediction horizon; every log
 transform lives at the loss/metrics boundary, never in storage. The
 generator couples a latent score to both purchase propensity and purchase
 amount so that ranking metrics on the result are learnable.
+
+Dataset CSV files have a fast path each way. load_csv parses a plain file
+(no quoting, "\n" line ends, the expected field count on every line) with
+np.loadtxt's C parser, and reads any other file again with the csv module,
+row by row. write_csv joins each row that csv.writer would not quote and
+writes the lines in blocks; other rows go through csv.writer. Either way the
+values read, the bytes written and every CsvFormatError are those of the
+csv module alone.
 """
 
 import contextlib
 import csv
+import itertools
 import math
 import os
 import tempfile
@@ -26,6 +35,10 @@ _AMOUNT_MU0 = 3.0
 _AMOUNT_MU1 = 0.5
 
 _ZERO_VAR_EPS = 1e-12
+
+# Rows per block: save_csv formats, write_csv writes and load_csv packs
+# this many rows at a time.
+_BLOCK_ROWS = 4096
 
 
 class CsvFormatError(ValueError):
@@ -183,30 +196,71 @@ def atomic_open(path):
 
 
 def write_csv(path, header, rows):
-    """Write the header and rows atomically as CSV with Unix line ends."""
+    """Write the header and rows atomically, byte for byte as
+    csv.writer(fh, lineterminator="\n") writes them. A row that csv.writer
+    would write unquoted (see _plain_line) is joined here and written in
+    blocks of _BLOCK_ROWS lines; any other row goes through csv.writer."""
     with atomic_open(path) as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+        block = []
+        for row in itertools.chain([header], rows):
+            line = _plain_line(row)
+            if line is not None:
+                block.append(line)
+                if len(block) < _BLOCK_ROWS:
+                    continue
+            fh.write("".join(block))
+            block.clear()
+            if line is None:
+                writer.writerow(row)
+        fh.write("".join(block))
+
+
+def _plain_line(row):
+    """The line csv.writer writes for row, "\n" included, or None when it
+    could quote or format a field another way: row is not a list or tuple,
+    a field is not exactly a str, int or float, a str field holds a
+    , " \r or \n, or row is the one empty field csv.writer writes as ""."""
+    if type(row) not in (list, tuple):
+        return None
+    try:
+        line = ",".join(row)
+    except TypeError:
+        if not all(type(f) in (str, int, float) for f in row):
+            return None
+        line = ",".join([f if type(f) is str else repr(f) for f in row])
+    # csv.writer quotes '"' and the line terminator "\n", and may quote "\r"
+    if ('"' in line or "\n" in line or "\r" in line or line.count(",") != len(row) - 1
+            or (not line and len(row) == 1)):
+        return None
+    return line + "\n"
 
 
 def save_csv(data: Dataset, path):
-    """Write id,f0..f{d-1},label rows atomically, streaming row by row.
-    Floats use repr, which round-trips doubles exactly, so save -> load is
-    lossless."""
-    header = ["id"] + [f"f{j}" for j in range(data.dim)] + ["label"]
-    rows = (
-        [data.ids[i], *(repr(float(v)) for v in data.features[i]), repr(float(data.labels[i]))]
-        for i in range(data.n)
-    )
-    write_csv(path, header, rows)
+    """Write id,f0..f{d-1},label rows atomically. Floats use repr, which
+    round-trips doubles exactly, so save -> load is lossless. Rows are
+    formatted from np.column_stack([features, labels]).tolist() one block of
+    _BLOCK_ROWS rows at a time, so the file is never held in memory whole."""
+    write_csv(path, _header(data.dim), _dataset_rows(data))
+
+
+def _dataset_rows(data: Dataset):
+    for s in range(0, data.n, _BLOCK_ROWS):
+        e = s + _BLOCK_ROWS
+        values = np.column_stack([data.features[s:e], data.labels[s:e]]).tolist()
+        for row_id, row in zip(data.ids[s:e], values):
+            yield [row_id, *map(repr, row)]
+
+
+def _header(d):
+    return ["id", *(f"f{j}" for j in range(d)), "label"]
 
 
 def csv_rows(path):
     """Yield (line number, fields) for each row of a CSV file, read as UTF-8
     with newline="" as write_csv writes it. A row the csv module cannot
-    parse (say, a field over its size limit) raises CsvFormatError naming
-    the line."""
+    parse (say, a field over its size limit) or bytes that are not UTF-8
+    raise CsvFormatError naming the line."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
         lineno = 0
         try:
@@ -214,17 +268,105 @@ def csv_rows(path):
                 yield lineno, row
         except csv.Error as exc:
             raise CsvFormatError(f"{path}: line {lineno + 1}: {exc}") from None
+        except UnicodeDecodeError as exc:
+            raise CsvFormatError(_decode_error(path, exc)) from None
+
+
+def _decode_error(path, exc):
+    """Name the first line of path that is not UTF-8. The text reader
+    decodes in chunks, so exc alone gives neither the line nor a position
+    in the file; a pipe cannot be read again, so it gets exc alone."""
+    if os.path.isfile(path):
+        with open(path, "rb") as fh:
+            for lineno, raw in enumerate(fh, start=1):
+                try:
+                    raw.decode("utf-8")
+                except UnicodeDecodeError as line_exc:
+                    return f"{path}: line {lineno}: {line_exc}"
+    return f"{path}: {exc}"
 
 
 def load_csv(path) -> Dataset:
+    """Read an id,f0..f{d-1},label file into a Dataset.
+
+    A plain file goes through np.loadtxt's C parser: the exact header, then
+    lines that each end in "\n", hold d+1 commas and no quote, CR or
+    \x1c-\x1f, and fit csv.field_size_limit(), with finite values and
+    non-negative labels. Anything else, or anything loadtxt rejects, is
+    read again by csv_rows, which gives the result or the CsvFormatError
+    naming the line. Both give the same ids and bit-identical, C-contiguous
+    features and labels."""
+    data = _load_plain(path)
+    return _load_rows(path) if data is None else data
+
+
+class _NotPlain(Exception):
+    """A line that _load_plain leaves to the csv_rows reader."""
+
+
+def _load_plain(path):
+    """The Dataset of a plain file (see load_csv), or None. Lines stream
+    from the file into np.loadtxt; the file is never held in memory."""
+    if not os.path.isfile(path):  # a pipe could not be read again by the fallback
+        return None
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        ids = []
+        try:
+            header = fh.readline()
+            d = header.count(",") - 1
+            if d < 1 or header != ",".join(_header(d)) + "\n":
+                return None
+            table = np.loadtxt(_plain_values(fh, d, ids), delimiter=",", comments=None,
+                               ndmin=2, dtype=np.float64)
+        except (ValueError, _NotPlain):  # UnicodeDecodeError is a ValueError
+            return None
+    if table.shape != (len(ids), d + 1) or not np.isfinite(table).all() or (table[:, d] < 0).any():
+        return None
+    features, labels = _columns(table)
+    return Dataset(ids=ids, features=features, labels=labels)
+
+
+def _plain_values(fh, d, ids):
+    """Yield each data line of fh after its id, appending the id to ids.
+    Raise _NotPlain at a line that is not plain or when there is none
+    (loadtxt warns on empty input)."""
+    limit = csv.field_size_limit()
+    for line in fh:
+        # '"' and "\r" are csv syntax; np.loadtxt strips \x1c-\x1f around a
+        # number as whitespace, where float() rejects them
+        if (line.count(",") != d + 1 or line[-1] != "\n" or len(line) > limit
+                or '"' in line or "\r" in line or "\x1c" in line or "\x1d" in line
+                or "\x1e" in line or "\x1f" in line):
+            raise _NotPlain
+        row_id, _, values = line.partition(",")
+        ids.append(row_id)
+        yield values
+    if not ids:
+        raise _NotPlain
+
+
+def _columns(table):
+    """Split an (n, d+1) table into C-contiguous features and labels, the
+    layout the row reader gives, without a second n x d buffer: the labels
+    are copied out, then the feature rows are packed to the front of the
+    table's own buffer, block by block (numpy buffers an overlapping block)."""
+    n, d = table.shape[0], table.shape[1] - 1
+    labels = table[:, d].copy()
+    features = table.reshape(-1)[: n * d].reshape(n, d)
+    for s in range(0, n, _BLOCK_ROWS):
+        features[s : s + _BLOCK_ROWS] = table[s : s + _BLOCK_ROWS, :d]
+    return features, labels
+
+
+def _load_rows(path) -> Dataset:
+    """load_csv through csv_rows, one row at a time."""
     rows = csv_rows(path)
     try:
         _, header = next(rows)
     except StopIteration:
         raise CsvFormatError(f"{path}: empty file") from None
     d = len(header) - 2
-    expected = ["id"] + [f"f{j}" for j in range(d)] + ["label"]
-    if d < 1 or header != expected:
+    if d < 1 or header != _header(d):
         raise CsvFormatError(f"{path}: line 1: bad header {header!r}")
     ids = []
     feats = []
