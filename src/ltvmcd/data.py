@@ -9,15 +9,14 @@ amount so that ranking metrics on the result are learnable.
 Dataset CSV files have a fast path each way. load_csv parses a plain file
 (no quoting, "\n" line ends, the expected field count on every line) with
 np.loadtxt's C parser, and reads any other file again with the csv module,
-row by row. write_csv joins each row that csv.writer would not quote and
-writes the lines in blocks; other rows go through csv.writer. Either way the
-values read, the bytes written and every CsvFormatError are those of the
-csv module alone.
+row by row. save_csv joins a block of rows into lines itself when
+csv.writer would quote none of its ids, and passes any other block to
+csv.writer. Either way the values read, the bytes written and every
+CsvFormatError are those of the csv module alone.
 """
 
 import contextlib
 import csv
-import itertools
 import math
 import os
 import tempfile
@@ -36,8 +35,8 @@ _AMOUNT_MU1 = 0.5
 
 _ZERO_VAR_EPS = 1e-12
 
-# Rows per block: save_csv formats, write_csv writes and load_csv packs
-# this many rows at a time.
+# Rows per block: save_csv formats and writes, and load_csv packs, this
+# many rows at a time.
 _BLOCK_ROWS = 4096
 
 
@@ -196,60 +195,45 @@ def atomic_open(path):
 
 
 def write_csv(path, header, rows):
-    """Write the header and rows atomically, byte for byte as
-    csv.writer(fh, lineterminator="\n") writes them. A row that csv.writer
-    would write unquoted (see _plain_line) is joined here and written in
-    blocks of _BLOCK_ROWS lines; any other row goes through csv.writer."""
+    """Write the header and rows atomically as CSV with Unix line ends."""
     with atomic_open(path) as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        block = []
-        for row in itertools.chain([header], rows):
-            line = _plain_line(row)
-            if line is not None:
-                block.append(line)
-                if len(block) < _BLOCK_ROWS:
-                    continue
-            fh.write("".join(block))
-            block.clear()
-            if line is None:
-                writer.writerow(row)
-        fh.write("".join(block))
-
-
-def _plain_line(row):
-    """The line csv.writer writes for row, "\n" included, or None when it
-    could quote or format a field another way: row is not a list or tuple,
-    a field is not exactly a str, int or float, a str field holds a
-    , " \r or \n, or row is the one empty field csv.writer writes as ""."""
-    if type(row) not in (list, tuple):
-        return None
-    try:
-        line = ",".join(row)
-    except TypeError:
-        if not all(type(f) in (str, int, float) for f in row):
-            return None
-        line = ",".join([f if type(f) is str else repr(f) for f in row])
-    # csv.writer quotes '"' and the line terminator "\n", and may quote "\r"
-    if ('"' in line or "\n" in line or "\r" in line or line.count(",") != len(row) - 1
-            or (not line and len(row) == 1)):
-        return None
-    return line + "\n"
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def save_csv(data: Dataset, path):
-    """Write id,f0..f{d-1},label rows atomically. Floats use repr, which
-    round-trips doubles exactly, so save -> load is lossless. Rows are
-    formatted from np.column_stack([features, labels]).tolist() one block of
-    _BLOCK_ROWS rows at a time, so the file is never held in memory whole."""
-    write_csv(path, _header(data.dim), _dataset_rows(data))
+    """Write id,f0..f{d-1},label rows atomically, byte for byte as
+    write_csv writes them. Floats use repr, which round-trips doubles
+    exactly, so save -> load is lossless. Rows are formatted from
+    np.column_stack([features, labels]).tolist() one block of _BLOCK_ROWS
+    rows at a time, so the file is never held in memory whole. A repr float
+    never needs quoting, so a block whose ids csv.writer would write as they
+    are is joined into lines here, which skips csv.writer's scan of every
+    character; any other block goes through csv.writer."""
+    with atomic_open(path) as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(_header(data.dim))
+        for s in range(0, data.n, _BLOCK_ROWS):
+            e = s + _BLOCK_ROWS
+            ids = data.ids[s:e]
+            values = np.column_stack([data.features[s:e], data.labels[s:e]]).tolist()
+            rows = ([row_id, *map(repr, row)] for row_id, row in zip(ids, values))
+            if _unquoted(ids):
+                fh.write("".join([",".join(row) + "\n" for row in rows]))
+            else:
+                writer.writerows(rows)
 
 
-def _dataset_rows(data: Dataset):
-    for s in range(0, data.n, _BLOCK_ROWS):
-        e = s + _BLOCK_ROWS
-        values = np.column_stack([data.features[s:e], data.labels[s:e]]).tolist()
-        for row_id, row in zip(data.ids[s:e], values):
-            yield [row_id, *map(repr, row)]
+def _unquoted(ids):
+    """True when every id is a str that csv.writer writes as it is: one
+    with no , " or \n. An id with a \r goes to csv.writer too, since
+    whether it quotes one depends on the Python version."""
+    try:
+        text = "".join(ids)
+    except TypeError:
+        return False
+    return not ("," in text or '"' in text or "\n" in text or "\r" in text)
 
 
 def _header(d):
@@ -259,31 +243,26 @@ def _header(d):
 def csv_rows(path):
     """Yield (line number, fields) for each row of a CSV file, read as UTF-8
     with newline="" as write_csv writes it. A row the csv module cannot
-    parse (say, a field over its size limit) or bytes that are not UTF-8
-    raise CsvFormatError naming the line."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    parse (say, a field over its size limit) or that holds bytes that are
+    not UTF-8 raises CsvFormatError naming the line."""
+    with open(path, "r", encoding="utf-8", errors="surrogateescape", newline="") as fh:
         lineno = 0
         try:
-            for lineno, row in enumerate(csv.reader(fh), start=1):
+            for lineno, row in enumerate(csv.reader(_utf8_lines(fh)), start=1):
                 yield lineno, row
-        except csv.Error as exc:
+        except (csv.Error, UnicodeDecodeError) as exc:
             raise CsvFormatError(f"{path}: line {lineno + 1}: {exc}") from None
-        except UnicodeDecodeError as exc:
-            raise CsvFormatError(_decode_error(path, exc)) from None
 
 
-def _decode_error(path, exc):
-    """Name the first line of path that is not UTF-8. The text reader
-    decodes in chunks, so exc alone gives neither the line nor a position
-    in the file; a pipe cannot be read again, so it gets exc alone."""
-    if os.path.isfile(path):
-        with open(path, "rb") as fh:
-            for lineno, raw in enumerate(fh, start=1):
-                try:
-                    raw.decode("utf-8")
-                except UnicodeDecodeError as line_exc:
-                    return f"{path}: line {lineno}: {line_exc}"
-    return f"{path}: {exc}"
+def _utf8_lines(fh):
+    """Yield the lines of fh, opened with errors="surrogateescape"; raise
+    the UnicodeDecodeError of the first line that holds bytes that are not
+    UTF-8. The csv reader asks for a line only to finish the row after the
+    last one it gave, so that row is the one to name."""
+    for line in fh:
+        if not line.isascii():
+            line.encode("utf-8", "surrogateescape").decode("utf-8")
+        yield line
 
 
 def load_csv(path) -> Dataset:

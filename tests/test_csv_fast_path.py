@@ -1,5 +1,5 @@
 """The fast dataset CSV path changes no outcome: load_csv returns what the
-row-by-row reader returned, or raises its exact CsvFormatError; write_csv
+row-by-row reader returned, or raises its exact CsvFormatError; save_csv
 writes the bytes csv.writer writes; a file that is not UTF-8 is named with
 its line; and load_csv keeps no per-row Python objects but the ids."""
 
@@ -196,7 +196,8 @@ def test_a_pipe_is_read_once(tmp_path):
 
 def test_a_pipe_that_is_not_utf8_is_named(tmp_path):
     exc = load_from_pipe(tmp_path, HEADER.encode() + b"\xff0,1,2,3\n")
-    assert isinstance(exc, data.CsvFormatError) and str(exc).startswith(f"{tmp_path / 'd.csv'}: ")
+    assert isinstance(exc, data.CsvFormatError)
+    assert str(exc).startswith(f"{tmp_path / 'd.csv'}: line 2: ")
 
 
 # -- the reader: fuzz --------------------------------------------------------
@@ -248,49 +249,67 @@ def test_load_csv_fuzz_matches_the_row_reader(tmp_path_factory, text):
 
 # -- the writer --------------------------------------------------------------
 
-def csv_writer_bytes(header, rows):
+def csv_writer_bytes(ds):
+    """save_csv's file as csv.writer alone writes it."""
     buf = io.StringIO(newline="")
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
+    writer.writerow(["id", *(f"f{j}" for j in range(ds.dim)), "label"])
+    writer.writerows([i, *map(repr, f.tolist()), repr(float(v))]
+                     for i, f, v in zip(ds.ids, ds.features, ds.labels))
     return buf.getvalue().encode("utf-8")
 
 
-FIELDS = st.one_of(
+ROW_IDS = st.one_of(
     st.text(max_size=5),
-    st.sampled_from(["a,b", 'q"x', "r\rs", "n\nm", "\r\n", "", " "]),
+    st.sampled_from(["u0", "a,b", 'q"x', "r\rs", "n\nm", "\r\n", "", " "]),
     st.integers(-2**70, 2**70),
-    st.floats(),
-    st.sampled_from([-0.0, 5e-324, 1e16, 1e-05, 0.1, 1e300]),
-    st.sampled_from([True, None]),
 )
-ROWS = st.lists(st.one_of(st.lists(FIELDS, max_size=4), st.tuples(FIELDS, FIELDS),
-                          st.just([""]), st.just(("",))), max_size=8)
+VALUES = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                   st.sampled_from([-0.0, 5e-324, 1e16, 1e-05, 0.1, 1e300]))
+
+
+@st.composite
+def datasets(draw):
+    n, d = draw(st.integers(1, 6)), draw(st.integers(1, 3))
+    features = np.array([[draw(VALUES) for _ in range(d)] for _ in range(n)])
+    labels = np.array([abs(draw(VALUES)) for _ in range(n)])
+    return data.Dataset([draw(ROW_IDS) for _ in range(n)], features, labels)
 
 
 @settings(max_examples=400, deadline=None)
-@given(st.lists(FIELDS, max_size=4), ROWS)
-def test_write_csv_writes_the_bytes_of_csv_writer(tmp_path_factory, header, rows):
+@given(datasets())
+def test_save_csv_writes_the_bytes_of_csv_writer(tmp_path_factory, ds):
     path = tmp_path_factory.mktemp("w") / "out.csv"
-    data.write_csv(path, header, rows)
-    assert path.read_bytes() == csv_writer_bytes(header, rows)
+    data.save_csv(ds, path)
+    assert path.read_bytes() == csv_writer_bytes(ds)
 
 
-def test_write_csv_keeps_row_order_across_blocks(tmp_path):
-    rows = [[f"u{i}", float(i), i] if i % 997 else [f"u,{i}", -0.0, None]
-            for i in range(3 * data._BLOCK_ROWS)]
-    path = tmp_path / "out.csv"
-    data.write_csv(path, ["id", "x", "n"], iter(rows))
-    assert path.read_bytes() == csv_writer_bytes(["id", "x", "n"], rows)
-
-
-def test_save_csv_round_trips_ids_that_need_quoting(tmp_path):
-    ds = small_dataset(n=8)
-    ds.ids = ["a,b", 'say "hi"', "n\nm", "\r\n", "", " pad ", "#x", "u7"]
+def test_save_csv_joins_plain_blocks_and_quotes_the_others(tmp_path):
+    """Three blocks: plain, one id that needs quoting, plain."""
+    ds = small_dataset(n=3 * data._BLOCK_ROWS)
+    ds.ids[data._BLOCK_ROWS + 7] = "a,b"
     path = tmp_path / "d.csv"
     data.save_csv(ds, path)
-    rows = [[i, *map(repr, f.tolist()), repr(float(v))] for i, f, v in zip(ds.ids, ds.features, ds.labels)]
-    assert path.read_bytes() == csv_writer_bytes(["id", "f0", "f1", "f2", "label"], rows)
+    assert path.read_bytes() == csv_writer_bytes(ds)
+    assert data.load_csv(path).ids == ds.ids
+
+
+QUOTING_IDS = [
+    ["a,b", 'say "hi"', "n\nm", "\r\n", "", " pad ", "#x", "u7"],
+    # csv.writer leaves a bare CR unquoted, so the reader splits the row
+    # (the FOUND line on save_csv/write_csv in CHANGES.md)
+    pytest.param(["a", "r\rs", "b"], marks=pytest.mark.xfail(strict=True, raises=data.CsvFormatError,
+                                                         reason="a bare CR in an id is written unquoted")),
+]
+
+
+@pytest.mark.parametrize("ids", QUOTING_IDS)
+def test_save_csv_round_trips_ids_that_need_quoting(tmp_path, ids):
+    ds = small_dataset(n=len(ids))
+    ds.ids = list(ids)
+    path = tmp_path / "d.csv"
+    data.save_csv(ds, path)
+    assert path.read_bytes() == csv_writer_bytes(ds)
     back = data.load_csv(path)
     assert back.ids == ds.ids
     assert back.features.tobytes() == ds.features.tobytes()
@@ -311,22 +330,33 @@ def test_an_empty_dataset_is_one_error_line_and_no_warning(tmp_path, capsys, tex
     assert not (tmp_path / "m.ckpt").exists()
 
 
-def with_bad_byte(path, row):
-    """Replace the first character of the given 0-based line with 0xff."""
+def with_bad_byte(path, row, end=b"\n"):
+    """Replace the first character of the given 0-based line with 0xff and
+    end every line with end."""
     lines = path.read_bytes().split(b"\n")
     lines[row] = b"\xff" + lines[row][1:]
-    path.write_bytes(b"\n".join(lines))
+    path.write_bytes(end.join(lines))
 
 
+@pytest.mark.parametrize("end", [b"\n", b"\r\n", b"\r"], ids=["lf", "crlf", "cr"])
 @pytest.mark.parametrize("row", [1, 700])
-def test_train_names_the_file_and_line_that_is_not_utf8(tmp_path, capsys, row):
+def test_train_names_the_file_and_line_that_is_not_utf8(tmp_path, capsys, row, end):
     path = tmp_path / "d.csv"
     data.save_csv(small_dataset(n=800), path)
-    with_bad_byte(path, row)
+    with_bad_byte(path, row, end)
     line = run_fails(capsys, "train", "--data", path, "--model", "mlp",
                      "--out", tmp_path / "m.ckpt")
     assert line.startswith(f"ltvmcd: error: {path}: line {row + 1}: ")
     assert "can't decode byte 0xff in position 0" in line
+
+
+def test_a_bad_byte_after_a_multiline_field_is_named_by_its_row(tmp_path):
+    """Line numbers count csv rows, as in every other CsvFormatError: the
+    quoted id spans two lines of the file but is one row."""
+    path = tmp_path / "d.csv"
+    path.write_bytes(HEADER.encode() + b'"two\nlines",1,2,3\n\xff0,1,2,3\n')
+    with pytest.raises(data.CsvFormatError, match=r": line 3: 'utf-8' codec can't decode byte 0xff"):
+        data.load_csv(path)
 
 
 def test_evaluate_names_the_predictions_line_that_is_not_utf8(tmp_path, capsys):
