@@ -28,7 +28,7 @@ import numpy as np
 from . import __version__ as VERSION
 from . import data as datamod
 from . import losses, metrics, nn, trainer
-from .mcd import McdConfig, McdResult, _scalarize, mcd_predict
+from .mcd import BLOCK_ROWS, McdConfig, McdResult, _scalarize, mcd_predict
 from .numcore import from_json
 
 SEED_ENV_VAR = "LTVMCD_SEED"
@@ -418,6 +418,10 @@ def cmd_compare(args, out):
     return {**config, "trials": args.trials, "k": args.k}, seed
 
 
+BATCH_HELP = (f"rows per forward pass (0 = blocks of {BLOCK_ROWS} rows, the last one "
+              "also taking the remainder)")
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="ltvmcd",
@@ -451,8 +455,7 @@ def build_parser():
     p.add_argument("--data", required=True, help="dataset CSV")
     p.add_argument("--trials", type=int, default=64)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--batch-size", type=int, default=0,
-                   help="rows per forward pass (0 = whole dataset)")
+    p.add_argument("--batch-size", type=int, default=0, help=BATCH_HELP)
     p.add_argument("--keep-trials", action="store_true",
                    help="also write one column per trial (large at big T)")
     p.add_argument("--out", required=True, help="predictions CSV path")
@@ -478,7 +481,7 @@ def build_parser():
                    help="independent seeds per trial count")
     p.add_argument("--k", type=float, default=0.05)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--batch-size", type=int, default=0)
+    p.add_argument("--batch-size", type=int, default=0, help=BATCH_HELP)
     p.add_argument("--out", required=True, help="sweep CSV path")
     p.set_defaults(func=cmd_sweep_trials)
 

@@ -11,8 +11,10 @@ Dataset CSV files have a fast path each way. load_csv parses a plain file
 np.loadtxt's C parser, and reads any other file again with the csv module,
 row by row. save_csv joins a block of rows into lines itself when
 csv.writer would quote none of its ids, and passes any other block to
-csv.writer. Either way the values read, the bytes written and every
-CsvFormatError are those of the csv module alone.
+csv.writer. Either way the values read and every CsvFormatError are
+those of the csv module alone, and so are the bytes written, except that
+a field holding a bare "\r" is quoted, as csv.writer quotes one holding
+"\n", so that the file reads back.
 """
 
 import contextlib
@@ -109,15 +111,18 @@ def latent_score(x: np.ndarray) -> np.ndarray:
 
 
 def _calibrate_intercept(score, target_rate):
-    """Bisect b so that mean(sigmoid(slope*score + b)) == target_rate."""
+    """Bisect b so that mean(sigmoid(slope*score + b)) == target_rate, for
+    at most 200 steps. A step that leaves (lo, hi) unchanged is a fixed
+    point, since the next step depends on (lo, hi) alone, so the loop
+    stops there with the interval the full 200 steps would reach."""
     lo, hi = -60.0, 60.0
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         rate = float(np.mean(_sigmoid(_PROPENSITY_SLOPE * score + mid)))
-        if rate < target_rate:
-            lo = mid
-        else:
-            hi = mid
+        step = (mid, hi) if rate < target_rate else (lo, mid)
+        if step == (lo, hi):
+            break
+        lo, hi = step
     return 0.5 * (lo + hi)
 
 
@@ -195,9 +200,10 @@ def atomic_open(path):
 
 
 def write_csv(path, header, rows):
-    """Write the header and rows atomically as CSV with Unix line ends."""
+    """Write the header and rows atomically as CSV with Unix line ends;
+    a field holding a bare "\r" is quoted (see _csv_writer)."""
     with atomic_open(path) as fh:
-        writer = csv.writer(fh, lineterminator="\n")
+        writer = _csv_writer(fh)
         writer.writerow(header)
         writer.writerows(rows)
 
@@ -212,7 +218,7 @@ def save_csv(data: Dataset, path):
     are is joined into lines here, which skips csv.writer's scan of every
     character; any other block goes through csv.writer."""
     with atomic_open(path) as fh:
-        writer = csv.writer(fh, lineterminator="\n")
+        writer = _csv_writer(fh)
         writer.writerow(_header(data.dim))
         for s in range(0, data.n, _BLOCK_ROWS):
             e = s + _BLOCK_ROWS
@@ -227,13 +233,31 @@ def save_csv(data: Dataset, path):
 
 def _unquoted(ids):
     """True when every id is a str that csv.writer writes as it is: one
-    with no , " or \n. An id with a \r goes to csv.writer too, since
-    whether it quotes one depends on the Python version."""
+    with no , " \n or \r."""
     try:
         text = "".join(ids)
     except TypeError:
         return False
     return not ("," in text or '"' in text or "\n" in text or "\r" in text)
+
+
+def _csv_writer(fh):
+    """A csv.writer on fh whose lines end in "\n" and which quotes a field
+    holding "\r" as it quotes one holding "\n". Python 3.11's writer quotes
+    only the characters of its line terminator, so this one ends its lines
+    in "\r\n", and _LfLines turns each of those ends into "\n"."""
+    return csv.writer(_LfLines(fh), lineterminator="\r\n")
+
+
+class _LfLines:
+    """A write target for csv.writer, which writes each row in one call:
+    every line goes to fh with its last two characters replaced by "\n"."""
+
+    def __init__(self, fh):
+        self._write = fh.write
+
+    def write(self, line):
+        return self._write(line[:-2] + "\n")
 
 
 def _header(d):

@@ -2,14 +2,20 @@
 per-sample summary statistics.
 
 Trial j draws its dropout masks from a stream labeled "mcd/{j}" under the
-run's master seed, so any trial can be replayed in isolation. Trials run
-outermost; every batch inside one trial re-derives the same stream and
-therefore sees the same masks (one mask per layer per trial, shared
-across all samples), regardless of inference batching. Trial j's stream
-does not depend on T either, so the first t trials of a run at T >= t are
-the trials of the run at T = t: McdResult.first(t) reads that smaller run
-off a kept trial matrix, and sweep-trials pays for max(grid) trials per
-rep, not for the sum of its grid.
+run's master seed, so any trial can be replayed in isolation: one mask
+per layer per trial, shared across all samples. The rows run in blocks,
+outermost, with the T trials inside each block. Each trial's stream is
+built once per call; the first block draws from it, and every later
+block replays those draws, so all blocks see the masks a new stream with
+that label would give, regardless of inference batching. With
+batch_size 0 the blocks hold BLOCK_ROWS rows, and the last one also
+takes the remainder: on the BLAS this was built against, such blocks
+reproduce the whole-batch pass bit for bit, while a short tail block
+does not. Trial j's stream does not depend on T either, so the first t
+trials of a run at T >= t are the trials of the run at T = t:
+McdResult.first(t) reads that smaller run off a kept trial matrix, and
+sweep-trials pays for max(grid) trials per rep, not for the sum of its
+grid.
 
 The result holds, as columns, the mean and sample standard deviation of
 each sample's trial vector in the model's output space. For log-MSE
@@ -26,12 +32,17 @@ import numpy as np
 from . import losses
 from .numcore import RngStream, ShapeError
 
+# Rows per inference block when batch_size is 0. The last block also takes
+# the remainder, so no block is shorter: that, not speed, is what keeps
+# the bits of the whole-batch pass.
+BLOCK_ROWS = 1024
+
 
 @dataclass
 class McdConfig:
     trials: int
     master_seed: int = 0
-    batch_size: int = 0  # rows per inference pass; 0 means the whole dataset
+    batch_size: int = 0  # rows per inference pass; 0 means blocks of BLOCK_ROWS or more
 
     def __post_init__(self):
         if self.trials < 1:
@@ -117,7 +128,7 @@ def mcd_predict(net, data, cfg: McdConfig, loss_kind="log_mse", keep_trials=Fals
     ascending trial order. Returns an McdResult.
 
     A network without active dropout short-circuits to one eval pass per
-    chunk: every trial would return the identical output, whose exact
+    block: every trial would return the identical output, whose exact
     mean is that output itself, with zero spread. Deterministic given
     (model, data, seed, T).
     """
@@ -126,17 +137,50 @@ def mcd_predict(net, data, cfg: McdConfig, loss_kind="log_mse", keep_trials=Fals
         raise ShapeError(f"feature width {x.shape[1]} != network input {net.input_dim}")
     n = x.shape[0]
     t = cfg.trials
-    step = cfg.batch_size if cfg.batch_size > 0 else n
     stochastic = getattr(net, "stochastic", lambda: True)()
     mode, passes = ("mc_sample", t) if stochastic else ("eval", 1)
+    kept = [[] for _ in range(passes)]  # trial j's uniform draws, in order
     trials = np.empty((n, passes))
-    for j in range(passes):
-        for start in range(0, n, step):
-            # fresh stream per chunk: replays the trial's mask sequence
-            rng = RngStream(cfg.master_seed, f"mcd/{j}") if stochastic else None
-            out, _ = net.forward(x[start : start + step], mode, rng)
-            trials[start : start + step, j] = _scalarize(loss_kind, out)
+    for b, (start, stop) in enumerate(_blocks(n, cfg.batch_size)):
+        for j in range(passes):
+            rng = None
+            if stochastic:
+                rng = _Draws(kept[j], RngStream(cfg.master_seed, f"mcd/{j}") if b == 0 else None)
+            out, _ = net.forward(x[start:stop], mode, rng)
+            trials[start:stop, j] = _scalarize(loss_kind, out)
     return _summarize(list(data.ids), trials, t, keep_trials)
+
+
+def _blocks(n, batch_size):
+    """The (start, stop) row ranges of the inference passes: batch_size
+    rows each, the last one shorter if need be; or, for batch_size 0,
+    BLOCK_ROWS rows each with the remainder in the last, which keeps
+    n < 2 * BLOCK_ROWS in one block."""
+    if batch_size > 0:
+        starts = list(range(0, n, batch_size))
+    else:
+        starts = list(range(0, max(n // BLOCK_ROWS, 1) * BLOCK_ROWS, BLOCK_ROWS))
+    return list(zip(starts, starts[1:] + [n]))
+
+
+class _Draws:
+    """The stream of one pass of a trial. The pass over the first block
+    takes its draws from the trial's new RngStream and appends them to
+    kept; every later pass reads kept back in order, which is what a new
+    stream with that label would give it. So a call builds one stream per
+    trial and holds one at a time. Dropout asks a stream for uniform()
+    only."""
+
+    def __init__(self, kept, stream=None):
+        self._kept = kept
+        self._stream = stream
+        self._next = 0
+
+    def uniform(self, n):
+        if self._stream is not None:
+            self._kept.append(self._stream.uniform(n))
+        self._next += 1
+        return self._kept[self._next - 1]
 
 
 def _summarize(ids, passes, t, keep_trials):

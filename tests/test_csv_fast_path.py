@@ -250,13 +250,26 @@ def test_load_csv_fuzz_matches_the_row_reader(tmp_path_factory, text):
 # -- the writer --------------------------------------------------------------
 
 def csv_writer_bytes(ds):
-    """save_csv's file as csv.writer alone writes it."""
+    """save_csv's file as csv.writer alone writes it, except for a row with
+    a field holding a bare \r: csv.writer on Python 3.11 leaves that field
+    unquoted, so such a row is spelled out here with every field that holds
+    , " \r or \n quoted."""
     buf = io.StringIO(newline="")
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["id", *(f"f{j}" for j in range(ds.dim)), "label"])
-    writer.writerows([i, *map(repr, f.tolist()), repr(float(v))]
-                     for i, f, v in zip(ds.ids, ds.features, ds.labels))
+    for i, f, v in zip(ds.ids, ds.features, ds.labels):
+        row = [str(i), *map(repr, f.tolist()), repr(float(v))]
+        if "\r" in row[0]:
+            buf.write(",".join(quoted(field) for field in row) + "\n")
+        else:
+            writer.writerow(row)
     return buf.getvalue().encode("utf-8")
+
+
+def quoted(field):
+    if any(c in field for c in ',"\r\n'):
+        return '"' + field.replace('"', '""') + '"'
+    return field
 
 
 ROW_IDS = st.one_of(
@@ -296,10 +309,8 @@ def test_save_csv_joins_plain_blocks_and_quotes_the_others(tmp_path):
 
 QUOTING_IDS = [
     ["a,b", 'say "hi"', "n\nm", "\r\n", "", " pad ", "#x", "u7"],
-    # csv.writer leaves a bare CR unquoted, so the reader splits the row
-    # (the FOUND line on save_csv/write_csv in CHANGES.md)
-    pytest.param(["a", "r\rs", "b"], marks=pytest.mark.xfail(strict=True, raises=data.CsvFormatError,
-                                                         reason="a bare CR in an id is written unquoted")),
+    # Python 3.11's csv.writer leaves a bare CR unquoted; save_csv quotes it
+    ["a", "r\rs", "b", "\r", 'q"\r'],
 ]
 
 
@@ -314,6 +325,16 @@ def test_save_csv_round_trips_ids_that_need_quoting(tmp_path, ids):
     assert back.ids == ds.ids
     assert back.features.tobytes() == ds.features.tobytes()
     assert back.labels.tobytes() == ds.labels.tobytes()
+
+
+def test_write_csv_quotes_a_bare_cr_and_leaves_other_rows_alone(tmp_path):
+    rows = [["r\rs", 1.5, 2], ["u1", 0.25, 3], ["\r", "a,b", ""], ["n\nm", "", 'q"']]
+    path = tmp_path / "p.csv"
+    data.write_csv(path, ["id", "x", "k"], rows)
+    assert path.read_bytes() == (b'id,x,k\n"r\rs",1.5,2\nu1,0.25,3\n"\r","a,b",\n'
+                                 b'"n\nm",,"q"""\n')
+    assert [row for _, row in data.csv_rows(path)] == [["id", "x", "k"], *(
+        [str(field) for field in row] for row in rows)]
 
 
 # -- what reaches the user ---------------------------------------------------

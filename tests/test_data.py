@@ -32,6 +32,26 @@ class TestGenerateSynthetic:
         ds = data.generate_synthetic(cfg)
         assert abs(float(np.mean(ds.labels > 0)) - 0.05) < 0.005
 
+    @pytest.mark.parametrize("n", [1, 7, 1000, 50_000])
+    def test_calibration_stops_where_200_steps_end(self, n):
+        def bisect_200(score, target_rate):
+            lo, hi = -60.0, 60.0
+            for _ in range(200):
+                mid = 0.5 * (lo + hi)
+                rate = float(np.mean(data._sigmoid(data._PROPENSITY_SLOPE * score + mid)))
+                if rate < target_rate:
+                    lo = mid
+                else:
+                    hi = mid
+            return 0.5 * (lo + hi)
+
+        x = np.random.default_rng(n).normal(size=(n, 10))
+        score = data.latent_score(x)
+        for zero_inflation in (1e-4, 0.05, 0.5, 0.9, 0.95, 0.9999):
+            want = bisect_200(score, 1.0 - zero_inflation)
+            got = data._calibrate_intercept(score, 1.0 - zero_inflation)
+            assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
     def test_same_seed_identical(self):
         cfg = data.SynthConfig(n=300, dim=6, master_seed=9)
         a = data.generate_synthetic(cfg)

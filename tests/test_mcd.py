@@ -1,4 +1,5 @@
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -6,9 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from ltvmcd import losses, nn
+from ltvmcd import losses, mcd, nn
 from ltvmcd.data import Dataset
-from ltvmcd.mcd import McdConfig, PredictionSummary, confidence_interval, mcd_predict
+from ltvmcd.mcd import BLOCK_ROWS, McdConfig, PredictionSummary, confidence_interval, mcd_predict
+from ltvmcd.numcore import RngStream
 
 
 def tiny_dataset(n=6, d=5, seed=0):
@@ -116,6 +118,91 @@ class TestMcdPredict:
     def test_bad_trial_count_rejected(self):
         with pytest.raises(ValueError):
             McdConfig(trials=0)
+
+
+def pass_rows(monkeypatch):
+    """The row count of every Network.forward call from now on."""
+    rows = []
+    forward = nn.Network.forward
+
+    def spy(self, x, *args, **kwargs):
+        rows.append(x.shape[0])
+        return forward(self, x, *args, **kwargs)
+
+    monkeypatch.setattr(nn.Network, "forward", spy)
+    return rows
+
+
+def bench_shaped_net(arch, loss, dropout=0.2):
+    width = losses.head_width(loss)
+    if arch == "mlp":
+        return nn.build_mlp(10, [128, 64, 32], dropout, out_dim=width, seed=4)
+    return nn.build_dcnv2(10, 2, [64, 32], dropout, out_dim=width, seed=4)
+
+
+class TestWholeDatasetBlocks:
+    """With batch_size 0 the rows run in blocks of BLOCK_ROWS, the last one
+    holding the remainder; the trials must carry the bits of one
+    whole-batch pass per trial."""
+
+    @pytest.mark.parametrize("n", [2048, 2049, 3071, 5157, 10000])
+    @pytest.mark.parametrize("arch", ["mlp", "dcnv2"])
+    @pytest.mark.parametrize("loss", ["log_mse", "ziln"])
+    def test_blocks_give_the_bits_of_the_whole_batch(self, monkeypatch, n, arch, loss):
+        net = bench_shaped_net(arch, loss)
+        x = 0.2 * np.random.default_rng(n).normal(size=(n, 10))
+        ds = Dataset([f"u{i}" for i in range(n)], x, np.zeros(n))
+        rows = pass_rows(monkeypatch)
+        result = mcd_predict(net, ds, McdConfig(trials=5, master_seed=6), loss, keep_trials=True)
+        assert len(rows) == 5 * (n // BLOCK_ROWS)
+        assert min(rows) >= BLOCK_ROWS
+        for j in range(5):
+            out, _ = net.forward(x, "mc_sample", RngStream(6, f"mcd/{j}"))
+            whole = losses.ziln_predict(out) if loss == "ziln" else out[:, 0]
+            assert whole.tobytes() == result.trials[:, j].tobytes()
+        means, stds = oracles.mcd_replay(net, x, 5, 6, loss)
+        assert np.array_equal(result.mean, means)
+        assert np.array_equal(result.std, stds)
+
+    @pytest.mark.parametrize("arch", ["mlp", "dcnv2"])
+    def test_a_net_without_dropout_keeps_the_eval_bits(self, monkeypatch, arch):
+        net = bench_shaped_net(arch, "log_mse", dropout=0.0)
+        x = 0.2 * np.random.default_rng(1).normal(size=(5157, 10))
+        ds = Dataset([f"u{i}" for i in range(len(x))], x, np.zeros(len(x)))
+        rows = pass_rows(monkeypatch)
+        result = mcd_predict(net, ds, McdConfig(trials=4, master_seed=6))
+        assert rows == [1024] * 4 + [1024 + 37]
+        out, _ = net.forward(x, "eval")
+        assert result.mean.tobytes() == out[:, 0].tobytes()
+
+    @pytest.mark.parametrize("n", [0, 1, 1023, 2047])
+    def test_fewer_than_two_blocks_of_rows_run_as_one(self, monkeypatch, n):
+        net = nn.build_mlp(5, [8], 0.3, seed=2)
+        rows = pass_rows(monkeypatch)
+        mcd_predict(net, tiny_dataset(n=n), McdConfig(trials=3))
+        assert rows == [n] * 3
+
+    def test_a_positive_batch_size_is_kept_row_for_row(self, monkeypatch):
+        net = nn.build_mlp(5, [8], 0.3, seed=2)
+        rows = pass_rows(monkeypatch)
+        mcd_predict(net, tiny_dataset(n=3000), McdConfig(trials=2, batch_size=7))
+        assert rows == [7] * (2 * 428) + [4] * 2
+
+
+def test_a_call_builds_one_stream_per_trial_and_holds_one_at_a_time(monkeypatch):
+    made, alive = [], weakref.WeakSet()
+
+    class Counted(RngStream):
+        def __init__(self, master_seed, label):
+            assert not alive
+            super().__init__(master_seed, label)
+            made.append(label)
+            alive.add(self)
+
+    monkeypatch.setattr(mcd, "RngStream", Counted)
+    net = nn.build_mlp(5, [8, 8], 0.3, seed=2)
+    mcd_predict(net, tiny_dataset(n=23), McdConfig(trials=4, batch_size=7))
+    assert made == [f"mcd/{j}" for j in range(4)]
 
 
 class TestConfidenceInterval:
