@@ -168,7 +168,9 @@ def _prepare_training(args):
 
 
 def cmd_train(args, out):
-    file_cfg, seed, (train_raw, test_raw), (train_std, _) = _prepare_training(args)
+    file_cfg, seed, (train_raw, test_raw), (train_std, test_std) = _prepare_training(args)
+    n_train = train_raw.n
+    del train_raw, test_std  # hold no dataset copy through training that is not used
     cfg = file_cfg.train.with_loss(args.loss)
     net = file_cfg.model.build(args.model, train_std.dim, losses.head_width(args.loss), seed)
     net, history = trainer.train(net, train_std, cfg)
@@ -184,7 +186,7 @@ def cmd_train(args, out):
     if args.test_out:
         datamod.save_csv(test_raw, out.path(args.test_out))
 
-    print(f"trained {args.model}/{args.loss} on {train_raw.n} rows, "
+    print(f"trained {args.model}/{args.loss} on {n_train} rows, "
           f"{len(history)} epochs, final val loss {history[-1][2]:.6g}; "
           f"checkpoint at {args.out}")
     return {**asdict(file_cfg), "train": asdict(cfg), "model_kind": args.model}, seed

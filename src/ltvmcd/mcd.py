@@ -21,7 +21,11 @@ The result holds, as columns, the mean and sample standard deviation of
 each sample's trial vector in the model's output space. For log-MSE
 models that is log1p space; conversion to raw amounts happens at the
 metrics boundary. ZILN heads are reduced to their expected raw amount
-per trial.
+per trial. Both are row-wise reductions, so each block's moments are
+taken as soon as its T passes are done: a call holds one block x T
+trial values, and the (n, T) trial matrix exists only when it is kept
+(keep_trials), with the same bits either way. A mean or std that is
+not finite is an error naming its sample.
 """
 
 from dataclasses import dataclass
@@ -30,7 +34,7 @@ from statistics import NormalDist
 import numpy as np
 
 from . import losses
-from .numcore import RngStream, ShapeError
+from .numcore import NumericError, RngStream, ShapeError
 
 # Rows per inference block when batch_size is 0. The last block also takes
 # the remainder, so no block is shorter: that, not speed, is what keeps
@@ -95,8 +99,8 @@ class McdResult:
             raise ValueError("first() needs a result whose trial matrix was kept")
         if not 1 <= t <= self.trials.shape[1]:
             raise ValueError(f"t must be in [1, {self.trials.shape[1]}], got {t}")
-        passes = self.trials[:, : 1 if self.repeated else t]
-        return _summarize(list(self.ids), np.ascontiguousarray(passes), t, keep_trials=True)
+        passes = np.ascontiguousarray(self.trials[:, : 1 if self.repeated else t])
+        return _result(list(self.ids), *_moments(passes), t, passes)
 
     def __len__(self):
         return len(self.ids)
@@ -127,28 +131,36 @@ def mcd_predict(net, data, cfg: McdConfig, loss_kind="log_mse", keep_trials=Fals
     mean and sample std of the resulting trial vectors, aggregated in
     ascending trial order. Returns an McdResult.
 
-    A network without active dropout short-circuits to one eval pass per
+    Each block's moments are taken once its T passes are done, so only
+    one block x T values are held; keep_trials holds all n x T. A
+    network without active dropout short-circuits to one eval pass per
     block: every trial would return the identical output, whose exact
-    mean is that output itself, with zero spread. Deterministic given
-    (model, data, seed, T).
+    mean is that output itself, with zero spread. Raises NumericError
+    naming the first sample whose mean or std is not finite.
+    Deterministic given (model, data, seed, T).
     """
     x = data.features
     if x.shape[1] != net.input_dim:
         raise ShapeError(f"feature width {x.shape[1]} != network input {net.input_dim}")
     n = x.shape[0]
-    t = cfg.trials
     stochastic = getattr(net, "stochastic", lambda: True)()
-    mode, passes = ("mc_sample", t) if stochastic else ("eval", 1)
+    mode, passes = ("mc_sample", cfg.trials) if stochastic else ("eval", 1)
     kept = [[] for _ in range(passes)]  # trial j's uniform draws, in order
-    trials = np.empty((n, passes))
-    for b, (start, stop) in enumerate(_blocks(n, cfg.batch_size)):
+    blocks = _blocks(n, cfg.batch_size)
+    # all n rows under keep_trials, else one block's rows at a time
+    rows = n if keep_trials else max(stop - start for start, stop in blocks)
+    trials = np.empty((rows, passes))
+    means, stds = np.empty(n), np.empty(n)
+    for b, (start, stop) in enumerate(blocks):
+        block = trials[start:stop] if keep_trials else trials[: stop - start]
         for j in range(passes):
             rng = None
             if stochastic:
                 rng = _Draws(kept[j], RngStream(cfg.master_seed, f"mcd/{j}") if b == 0 else None)
             out, _ = net.forward(x[start:stop], mode, rng)
-            trials[start:stop, j] = _scalarize(loss_kind, out)
-    return _summarize(list(data.ids), trials, t, keep_trials)
+            block[:, j] = _scalarize(loss_kind, out)
+        means[start:stop], stds[start:stop] = _moments(block)
+    return _result(list(data.ids), means, stds, cfg.trials, trials if keep_trials else None)
 
 
 def _blocks(n, batch_size):
@@ -183,22 +195,36 @@ class _Draws:
         return self._kept[self._next - 1]
 
 
-def _summarize(ids, passes, t, keep_trials):
-    """The McdResult of T = t trials from the C-contiguous (n, k) matrix of
-    the passes that ran: k == t, or k == 1 for a network without active
-    dropout, whose one pass stands for every trial."""
+def _moments(passes):
+    """Row means and sample stds of the C-contiguous (n, k) matrix of the
+    passes that ran; a single pass has zero spread. Each row's bits depend
+    on that row alone, so a block of rows gives what the whole matrix
+    gives. Overflow yields inf or nan here, which _result rejects."""
     n, k = passes.shape
-    means = passes.mean(axis=1)
-    if k > 1:
+    with np.errstate(over="ignore", invalid="ignore"):
+        means = passes.mean(axis=1)
+        if k == 1:
+            return means, np.zeros(n)
         devs = passes - means[:, None]
-        stds = np.sqrt((devs * devs).sum(axis=1) / (k - 1))
-    else:
-        stds = np.zeros(n)
-    trials = None
-    if keep_trials:
-        trials = passes if k == t else np.repeat(passes, t, axis=1)
-    return McdResult(ids, means, stds, np.full(n, t, dtype=np.int64), trials,
-                     repeated=k < t)
+        devs *= devs
+        return means, np.sqrt(devs.sum(axis=1) / (k - 1))
+
+
+def _result(ids, means, stds, t, passes):
+    """The McdResult of T = t trials from its moment columns. passes is
+    the kept (n, k) matrix of the passes that ran, or None: k == t, or
+    k == 1 for a network without active dropout, whose one pass stands
+    for every trial. Raises NumericError naming the first sample whose
+    mean or std is not finite."""
+    bad = ~(np.isfinite(means) & np.isfinite(stds))
+    if bad.any():
+        i = int(bad.argmax())
+        raise NumericError(f"id {ids[i]!r}: MCD mean {float(means[i])!r} and std "
+                           f"{float(stds[i])!r} must be finite; the model's predictions "
+                           "are out of range")
+    repeated = passes is not None and passes.shape[1] < t
+    trials = np.repeat(passes, t, axis=1) if repeated else passes
+    return McdResult(ids, means, stds, np.full(len(ids), t, dtype=np.int64), trials, repeated)
 
 
 def confidence_interval(summary, z, quantile=False):

@@ -423,8 +423,10 @@ def load_checkpoint(path) -> Checkpoint:
     """Read a checkpoint written by save_checkpoint. Malformed content
     (bad or too deeply nested JSON, a missing or mistyped key, an unknown
     arch or layer kind, layer widths that do not chain, a head width that
-    does not fit the loss, a norm vector whose length is not input_dim)
-    raises ValueError naming the path."""
+    does not fit the loss, a weight, bias or norm mean that is not finite,
+    a norm std that is not finite and > 0, a norm vector whose length is
+    not input_dim) raises ValueError naming the path and, for a bad
+    number, its key."""
     try:
         with open(path) as f:
             return _checkpoint_from_doc(json.load(f))
@@ -449,6 +451,9 @@ def _checkpoint_from_doc(doc):
         else:
             groups[group] = [_layer_from_doc(d, kinds) for d in doc[group]]
     net = Network(arch, doc["input_dim"], **groups)
+    for name, p in net.named_params():
+        if not np.isfinite(p).all():
+            raise ValueError(f"{name} must be finite")
     loss_kind = doc.get("loss", "log_mse")
     losses.loss_fn(loss_kind)  # validates the name
     # a zero-row pass runs every layer's shape check on the chain of widths
@@ -462,4 +467,8 @@ def _checkpoint_from_doc(doc):
         norm = (np.asarray(norm["mean"], dtype=np.float64), np.asarray(norm["std"], dtype=np.float64))
         if norm[0].shape != (net.input_dim,) or norm[1].shape != (net.input_dim,):
             raise ValueError(f"norm vectors must have length input_dim={net.input_dim}")
+        if not np.isfinite(norm[0]).all():
+            raise ValueError("norm.mean must be finite")
+        if not (np.isfinite(norm[1]) & (norm[1] > 0.0)).all():
+            raise ValueError("norm.std must be finite and > 0")
     return Checkpoint(network=net, loss_kind=loss_kind, norm=norm)

@@ -6,6 +6,7 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from . import losses
+from .mcd import _blocks
 from .numcore import AdamState, NumericError, RngStream, ShapeError, adam_step, from_json
 
 
@@ -56,6 +57,8 @@ def train(net, data, cfg: TrainConfig):
     mode; validation loss is computed in eval mode. With patience set,
     stops after that many epochs without validation improvement and
     restores the best-epoch parameters. Deterministic given the seed.
+    Each batch is gathered from data as it runs, and the validation pass
+    runs in mcd._blocks blocks, so neither split is ever copied whole.
 
     Returns (net, history) where history is a list of
     (epoch, train_loss, val_loss) tuples.
@@ -73,8 +76,7 @@ def train(net, data, cfg: TrainConfig):
     perm = RngStream(cfg.master_seed, "train/val_split").permutation(n)
     n_val = min(max(int(round(n * cfg.val_fraction)), 1), n - 1)
     val_idx, train_idx = perm[:n_val], perm[n_val:]
-    x_tr, y_tr = data.features[train_idx], data.labels[train_idx]
-    x_va, y_va = data.features[val_idx], data.labels[val_idx]
+    y_va = data.labels[val_idx]
 
     params = net.params()
     state = AdamState.for_params(params, cfg.learning_rate, cfg.beta1, cfg.beta2, cfg.eps)
@@ -88,16 +90,18 @@ def train(net, data, cfg: TrainConfig):
         order = RngStream(cfg.master_seed, f"train/shuffle/{epoch}").permutation(len(train_idx))
         total = 0.0
         for start in range(0, len(order), cfg.batch_size):
-            idx = order[start : start + cfg.batch_size]
-            out, tape = net.forward(x_tr[idx], "train", drop_rng)
-            lv = fn(out, y_tr[idx])
+            rows = train_idx[order[start : start + cfg.batch_size]]
+            out, tape = net.forward(data.features[rows], "train", drop_rng)
+            lv = fn(out, data.labels[rows])
             if not math.isfinite(lv.value):
                 raise NumericError(f"non-finite training loss at epoch {epoch}, batch offset {start}")
             grads, _ = net.backward(tape, lv.grad)
             adam_step(state, params, grads)
-            total += lv.value * len(idx)
+            total += lv.value * len(rows)
         train_loss = total / len(order)
-        val_out, _ = net.forward(x_va, "eval")
+        # in blocks of at least BLOCK_ROWS rows: the bits of one whole-batch pass
+        val_out = np.concatenate([net.forward(data.features[val_idx[a:b]], "eval")[0]
+                                  for a, b in _blocks(n_val, 0)])
         val_loss = fn(val_out, y_va).value
         history.append((epoch, train_loss, val_loss))
         if cfg.patience is not None:

@@ -12,6 +12,7 @@ import json
 import math
 import os
 import tempfile
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -146,6 +147,22 @@ def test_predict_names_the_first_id_whose_mean_overflows_expm1(ws, capsys):
                          "--data", ws / "d.csv", "--trials", 2, "--out", ws / "p.csv")
     assert line.startswith(f"ltvmcd: error: id {ds.ids[first]!r}: mean ")
     assert "overflows expm1" in line
+
+
+# -- predict and sweep-trials: MCD moments that are not finite --------------
+
+@pytest.mark.parametrize("command", ["predict", "sweep-trials"])
+def test_a_mean_that_overflows_is_one_line_and_no_file(ws, capsys, command):
+    ds = small_dataset()
+    net = nn.build_mlp(ds.dim, [8], 0.3, seed=2)
+    net.stack[-1].b[:] = 1e308  # each trial is finite, the sum of four is not
+    nn.save_checkpoint(ws / "m.ckpt", nn.Checkpoint(network=net))
+    extra = ["--trials", 4] if command == "predict" else ["--grid", "1,4", "--reps", 2]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        line = fails_cleanly(capsys, ws, command, "--model", ws / "m.ckpt",
+                             "--data", ws / "d.csv", *extra, "--out", ws / "p.csv")
+    assert line.startswith(f"ltvmcd: error: id {ds.ids[0]!r}: MCD mean inf and std ")
 
 
 # -- evaluate --z-grid -------------------------------------------------------

@@ -4,6 +4,7 @@ out-of-range sweep ends in exit 1 with one `ltvmcd: error:` line."""
 
 import csv
 import json
+import math
 import os
 import stat
 import tempfile
@@ -133,6 +134,45 @@ def test_malformed_checkpoint_exits_1(tmp_path, capsys, breakage, needle):
     line = run_fails(capsys, "predict", "--model", ckpt, "--data", tmp_path / "d.csv",
                      "--trials", 2, "--out", tmp_path / "p.csv")
     assert str(ckpt) in line and needle in line
+    assert not (tmp_path / "p.csv").exists()
+
+
+def set_value(*path):
+    """A breakage that sets the value at path, the last step being the value."""
+    *steps, key, value = path
+
+    def breakage(doc):
+        node = doc
+        for step in steps:
+            node = node[step]
+        node[key] = value
+    return breakage
+
+
+@pytest.mark.parametrize("arch, breakage, message", [
+    ("mlp", set_value("stack", 3, "w", 0, 1, math.inf), "stack[3].w must be finite"),
+    ("mlp", set_value("stack", 0, "b", 2, math.nan), "stack[0].b must be finite"),
+    ("dcnv2", set_value("cross", 0, "w", 1, 0, -math.inf), "cross[0].w must be finite"),
+    ("dcnv2", set_value("head", "b", 0, math.nan), "head.b must be finite"),
+    ("mlp", set_value("norm", "mean", 1, math.inf), "norm.mean must be finite"),
+    ("mlp", set_value("norm", "mean", 0, math.nan), "norm.mean must be finite"),
+    ("mlp", set_value("norm", "std", 1, -1.0), "norm.std must be finite and > 0"),
+    ("mlp", set_value("norm", "std", 1, 0.0), "norm.std must be finite and > 0"),
+    ("mlp", set_value("norm", "std", 2, math.inf), "norm.std must be finite and > 0"),
+    ("dcnv2", set_value("norm", "std", 0, math.nan), "norm.std must be finite and > 0"),
+])
+def test_checkpoint_with_a_bad_number_names_its_key(tmp_path, capsys, arch, breakage, message):
+    doc = json.loads(json.dumps(DOCS[arch]))
+    breakage(doc)
+    ckpt = tmp_path / "bad.ckpt"
+    ckpt.write_text(json.dumps(doc))  # NaN, Infinity and -Infinity, as json writes them
+    with pytest.raises(ValueError) as err:
+        nn.load_checkpoint(ckpt)
+    assert str(err.value) == f"{ckpt}: bad checkpoint: {message}"
+    data.save_csv(small_dataset(), tmp_path / "d.csv")
+    line = run_fails(capsys, "predict", "--model", ckpt, "--data", tmp_path / "d.csv",
+                     "--trials", 2, "--out", tmp_path / "p.csv")
+    assert line == f"ltvmcd: error: {ckpt}: bad checkpoint: {message}"
     assert not (tmp_path / "p.csv").exists()
 
 

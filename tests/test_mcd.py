@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+import warnings
 import weakref
 
 import numpy as np
@@ -10,7 +12,7 @@ import oracles
 from ltvmcd import losses, mcd, nn
 from ltvmcd.data import Dataset
 from ltvmcd.mcd import BLOCK_ROWS, McdConfig, PredictionSummary, confidence_interval, mcd_predict
-from ltvmcd.numcore import RngStream
+from ltvmcd.numcore import NumericError, RngStream
 
 
 def tiny_dataset(n=6, d=5, seed=0):
@@ -187,6 +189,73 @@ class TestWholeDatasetBlocks:
         rows = pass_rows(monkeypatch)
         mcd_predict(net, tiny_dataset(n=3000), McdConfig(trials=2, batch_size=7))
         assert rows == [7] * (2 * 428) + [4] * 2
+
+
+class TestBlockMoments:
+    """Each block's means and stds are taken when its T passes are done:
+    the bits of the moments of the whole kept trial matrix, which only
+    keep_trials builds."""
+
+    @pytest.mark.parametrize("n", [1000, 2048, 2049, 5157, 10000])
+    @pytest.mark.parametrize("batch_size", [0, 7, 1000])
+    @pytest.mark.parametrize("arch", ["mlp", "dcnv2"])
+    @pytest.mark.parametrize("loss", ["log_mse", "ziln"])
+    @pytest.mark.parametrize("dropout", [0.0, 0.2])
+    def test_moments_match_the_kept_matrix(self, n, batch_size, arch, loss, dropout):
+        net = bench_shaped_net(arch, loss, dropout)
+        x = 0.2 * np.random.default_rng(n).normal(size=(n, 10))
+        ds = Dataset([f"u{i}" for i in range(n)], x, np.zeros(n))
+        cfg = McdConfig(trials=3, master_seed=5, batch_size=batch_size)
+        kept = mcd_predict(net, ds, cfg, loss, keep_trials=True)
+        lean = mcd_predict(net, ds, cfg, loss)
+        assert lean.trials is None and kept.trials.shape == (n, 3)
+        whole = kept.first(3)
+        for result in (lean, kept):
+            assert result.mean.tobytes() == whole.mean.tobytes()
+            assert result.std.tobytes() == whole.std.tobytes()
+
+    def test_memory_is_bounded_by_a_block_not_the_trial_matrix(self):
+        n, t = 10_000, 64
+        net = bench_shaped_net("mlp", "log_mse")
+        x = 0.2 * np.random.default_rng(0).normal(size=(n, 10))
+        ds = Dataset([f"u{i}" for i in range(n)], x, np.zeros(n))
+        tracemalloc.start()
+        try:
+            mcd_predict(net, ds, McdConfig(trials=t, master_seed=1))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < n * t * 8  # the (n, T) matrix alone would need this much
+
+
+class RowScaledNet:
+    """Duck-typed stochastic stand-in: every trial returns column 0 of the
+    input times scale, so a row's mean overflows where T * x0 * scale does."""
+
+    input_dim = 1
+
+    def __init__(self, scale):
+        self.scale = scale
+
+    def forward(self, x, mode, rng=None):
+        return x[:, :1] * self.scale, None
+
+
+class TestNonFiniteMoments:
+    def test_names_the_first_id_whose_mean_overflows(self):
+        x = np.array([[0.25], [0.5], [1.5], [0.125], [1.75]])
+        ds = Dataset([f"u{i}" for i in range(5)], x, np.zeros(5))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericError, match=r"^id 'u2': MCD mean inf and std "):
+                mcd_predict(RowScaledNet(1e308), ds, McdConfig(trials=2, batch_size=2))
+
+    def test_rows_under_the_limit_pass(self):
+        x = np.array([[0.25], [0.5]])
+        ds = Dataset(["a", "b"], x, np.zeros(2))
+        result = mcd_predict(RowScaledNet(1e308), ds, McdConfig(trials=2))
+        assert result.mean.tolist() == [2.5e307, 5e307]
+        assert result.std.tolist() == [0.0, 0.0]
 
 
 def test_a_call_builds_one_stream_per_trial_and_holds_one_at_a_time(monkeypatch):

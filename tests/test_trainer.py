@@ -1,7 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from ltvmcd import nn, trainer
+from ltvmcd import losses, nn, trainer
 from ltvmcd.data import Dataset
 from ltvmcd.numcore import RngStream
 
@@ -103,6 +105,48 @@ class TestTrain:
         cfg = trainer.TrainConfig(epochs=1, batch_size=8, loss="ziln")
         with pytest.raises(ValueError):
             trainer.train(net, ds, cfg)
+
+
+class TestBoundedMemory:
+    """train gathers each batch from the dataset and runs the validation
+    pass in mcd._blocks blocks: the bits of whole-batch passes, without
+    holding a copy of either split."""
+
+    @pytest.mark.parametrize("n_val", [2049, 5157])
+    @pytest.mark.parametrize("arch", ["mlp", "dcnv2"])
+    @pytest.mark.parametrize("loss", ["log_mse", "ziln"])
+    def test_validation_loss_is_the_whole_batch_loss(self, n_val, arch, loss):
+        n = 2 * n_val
+        rng = np.random.default_rng(n_val)
+        x = rng.normal(size=(n, 10))
+        labels = np.where(rng.random(n) < 0.5, 0.0, np.exp(x[:, 0]))
+        ds = Dataset([f"r{i}" for i in range(n)], x, labels)
+        width = losses.head_width(loss)
+        if arch == "mlp":
+            net = nn.build_mlp(10, [32, 16], 0.2, out_dim=width, seed=3)
+        else:
+            net = nn.build_dcnv2(10, 2, [32, 16], 0.2, out_dim=width, seed=3)
+        cfg = trainer.TrainConfig(epochs=1, batch_size=256, master_seed=4, loss=loss,
+                                  val_fraction=0.5, patience=None)
+        net, hist = trainer.train(net, ds, cfg)
+        val_idx = RngStream(4, "train/val_split").permutation(n)[:n_val]
+        out, _ = net.forward(x[val_idx], "eval")
+        assert hist[-1][2] == losses.loss_fn(loss)(out, ds.labels[val_idx]).value
+
+    def test_peak_memory_stays_below_one_copy_of_the_features(self):
+        n, d = 20_000, 50
+        rng = np.random.default_rng(1)
+        x = rng.normal(size=(n, d))
+        ds = Dataset([f"r{i}" for i in range(n)], x, np.exp(rng.normal(size=n)))
+        net = nn.build_mlp(d, [128, 64, 32], 0.2, seed=4)
+        cfg = trainer.TrainConfig(epochs=1, batch_size=512, patience=None)
+        tracemalloc.start()
+        try:
+            trainer.train(net, ds, cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < x.nbytes  # a copy of the 90% train split alone would take 0.9x
 
 
 class TestGradCheck:
