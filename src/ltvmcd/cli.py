@@ -355,9 +355,9 @@ def cmd_sweep_trials(args, out):
     for rep in range(args.reps):
         # one run at the largest T per rep; each smaller T reads its first trials
         cfg = McdConfig(trials=max(grid), master_seed=seed + rep, batch_size=args.batch_size)
-        full = mcd_predict(ckpt.network, ds, cfg, loss_kind=ckpt.loss_kind, keep_trials=True)
-        for t in ginis:
-            preds_raw = _raw_space(ckpt.loss_kind, full.first(t).mean)
+        results = mcd_predict(ckpt.network, ds, cfg, loss_kind=ckpt.loss_kind, at=ginis)
+        for t, result in zip(ginis, results):
+            preds_raw = _raw_space(ckpt.loss_kind, result.mean)
             ginis[t].append(metrics.normalized_gini(preds_raw, labels))
             mapes[t].append(metrics.top_k_mape(preds_raw, labels, args.k))
     rows = []

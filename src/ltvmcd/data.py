@@ -161,7 +161,10 @@ class StagedOutputs:
 
     def path(self, target):
         """Reserve a temp file beside target, with the mode open(target, "w")
-        gives a new file under the current umask, and return its name."""
+        gives a new file under the current umask, and return its name.
+        ValueError if an earlier target names the same file."""
+        if os.path.realpath(target) in map(os.path.realpath, self.targets):
+            raise ValueError(f"{os.fspath(target)}: two outputs of this command name this file")
         umask = os.umask(0o022)
         os.umask(umask)
         try:

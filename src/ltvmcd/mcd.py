@@ -12,8 +12,8 @@ batch_size 0 the blocks hold BLOCK_ROWS rows, and the last one also
 takes the remainder: on the BLAS this was built against, such blocks
 reproduce the whole-batch pass bit for bit, while a short tail block
 does not. Trial j's stream does not depend on T either, so the first t
-trials of a run at T >= t are the trials of the run at T = t:
-McdResult.first(t) reads that smaller run off a kept trial matrix, and
+trials of a run at T >= t are the trials of the run at T = t: one call
+with at= answers several trial counts from one block loop, and
 sweep-trials pays for max(grid) trials per rep, not for the sum of its
 grid.
 
@@ -22,10 +22,11 @@ each sample's trial vector in the model's output space. For log-MSE
 models that is log1p space; conversion to raw amounts happens at the
 metrics boundary. ZILN heads are reduced to their expected raw amount
 per trial. Both are row-wise reductions, so each block's moments are
-taken as soon as its T passes are done: a call holds one block x T
-trial values, and the (n, T) trial matrix exists only when it is kept
-(keep_trials), with the same bits either way. A mean or std that is
-not finite is an error naming its sample.
+taken as soon as its T passes are done, for every requested trial
+count: a call holds one block x T trial values, and the (n, T) trial
+matrix exists only when it is kept (keep_trials), with the same bits
+either way. A mean or std that is not finite is an error naming its
+sample.
 """
 
 from dataclasses import dataclass
@@ -70,16 +71,13 @@ class PredictionSummary:
 class McdResult:
     """MCD output for n samples as columns: ids (list), mean and std
     (float64, shape (n,)), n_trials (int64, shape (n,)), and the (n, T)
-    trial matrix when kept; repeated marks a kept matrix whose columns all
-    copy the one eval pass of a network without active dropout. r[i] is
-    sample i's PredictionSummary."""
+    trial matrix when kept. r[i] is sample i's PredictionSummary."""
 
     ids: list
     mean: np.ndarray
     std: np.ndarray
     n_trials: np.ndarray
     trials: np.ndarray | None = None
-    repeated: bool = False
 
     @classmethod
     def stack(cls, summaries):
@@ -90,17 +88,6 @@ class McdResult:
             std=np.array([s.std for s in summaries], dtype=np.float64),
             n_trials=np.array([s.n_trials for s in summaries], dtype=np.int64),
         )
-
-    def first(self, t):
-        """The result the same run gives at T = t <= T: the moments of the
-        first t trials, as mcd_predict computes them. Needs the trial
-        matrix (keep_trials=True)."""
-        if self.trials is None:
-            raise ValueError("first() needs a result whose trial matrix was kept")
-        if not 1 <= t <= self.trials.shape[1]:
-            raise ValueError(f"t must be in [1, {self.trials.shape[1]}], got {t}")
-        passes = np.ascontiguousarray(self.trials[:, : 1 if self.repeated else t])
-        return _result(list(self.ids), *_moments(passes), t, passes)
 
     def __len__(self):
         return len(self.ids)
@@ -126,41 +113,52 @@ def _scalarize(kind, out):
     raise ValueError(f"unknown loss kind {kind!r}")
 
 
-def mcd_predict(net, data, cfg: McdConfig, loss_kind="log_mse", keep_trials=False):
+def mcd_predict(net, data, cfg: McdConfig, loss_kind="log_mse", keep_trials=False, at=None):
     """Run T mc_sample forward passes over the dataset, then per-sample
     mean and sample std of the resulting trial vectors, aggregated in
-    ascending trial order. Returns an McdResult.
+    ascending trial order. Returns an McdResult, or with at (trial counts
+    in [1, T]) a tuple of the McdResult the call gives at each T = t.
 
-    Each block's moments are taken once its T passes are done, so only
-    one block x T values are held; keep_trials holds all n x T. A
-    network without active dropout short-circuits to one eval pass per
-    block: every trial would return the identical output, whose exact
-    mean is that output itself, with zero spread. Raises NumericError
-    naming the first sample whose mean or std is not finite.
+    Once a block's T passes are done, its moments are taken from its
+    first t trials for each t, so only one block x T values are held;
+    keep_trials holds all n x T, and the result for t its first t
+    columns. A network without active dropout short-circuits to one eval
+    pass per block: every trial would return the identical output, whose
+    exact mean is that output itself, with zero spread. Raises
+    NumericError naming the first sample whose mean or std is not finite.
     Deterministic given (model, data, seed, T).
     """
     x = data.features
     if x.shape[1] != net.input_dim:
         raise ShapeError(f"feature width {x.shape[1]} != network input {net.input_dim}")
+    counts = (cfg.trials,) if at is None else tuple(at)
+    if not all(1 <= t <= cfg.trials for t in counts):
+        raise ValueError(f"trial counts must be in [1, {cfg.trials}], got {list(counts)}")
     n = x.shape[0]
     stochastic = getattr(net, "stochastic", lambda: True)()
     mode, passes = ("mc_sample", cfg.trials) if stochastic else ("eval", 1)
-    kept = [[] for _ in range(passes)]  # trial j's uniform draws, in order
     blocks = _blocks(n, cfg.batch_size)
-    # all n rows under keep_trials, else one block's rows at a time
-    rows = n if keep_trials else max(stop - start for start, stop in blocks)
-    trials = np.empty((rows, passes))
-    means, stds = np.empty(n), np.empty(n)
+    # the arrays before the per-trial lists, so a T too large fails at once
+    buffer = np.empty((max(stop - start for start, stop in blocks), passes))
+    trials = np.empty((n, cfg.trials)) if keep_trials else None
+    moments = [(np.empty(n), np.empty(n)) for _ in counts]
+    kept = [[] for _ in range(passes)]  # trial j's uniform draws, in order
     for b, (start, stop) in enumerate(blocks):
-        block = trials[start:stop] if keep_trials else trials[: stop - start]
+        block = buffer[: stop - start]
         for j in range(passes):
             rng = None
             if stochastic:
                 rng = _Draws(kept[j], RngStream(cfg.master_seed, f"mcd/{j}") if b == 0 else None)
             out, _ = net.forward(x[start:stop], mode, rng)
             block[:, j] = _scalarize(loss_kind, out)
-        means[start:stop], stds[start:stop] = _moments(block)
-    return _result(list(data.ids), means, stds, cfg.trials, trials if keep_trials else None)
+        for t, (means, stds) in zip(counts, moments):
+            means[start:stop], stds[start:stop] = _moments(np.ascontiguousarray(block[:, :t]))
+        if keep_trials:
+            trials[start:stop] = block  # one eval pass fills every column
+    results = tuple(_result(list(data.ids), means, stds, t,
+                            None if trials is None else trials[:, :t])
+                    for t, (means, stds) in zip(counts, moments))
+    return results[0] if at is None else results
 
 
 def _blocks(n, batch_size):
@@ -210,21 +208,17 @@ def _moments(passes):
         return means, np.sqrt(devs.sum(axis=1) / (k - 1))
 
 
-def _result(ids, means, stds, t, passes):
-    """The McdResult of T = t trials from its moment columns. passes is
-    the kept (n, k) matrix of the passes that ran, or None: k == t, or
-    k == 1 for a network without active dropout, whose one pass stands
-    for every trial. Raises NumericError naming the first sample whose
-    mean or std is not finite."""
+def _result(ids, means, stds, t, trials):
+    """The McdResult of T = t trials from its moment columns and the kept
+    (n, t) trial matrix or None. Raises NumericError naming the first
+    sample whose mean or std is not finite."""
     bad = ~(np.isfinite(means) & np.isfinite(stds))
     if bad.any():
         i = int(bad.argmax())
         raise NumericError(f"id {ids[i]!r}: MCD mean {float(means[i])!r} and std "
                            f"{float(stds[i])!r} must be finite; the model's predictions "
                            "are out of range")
-    repeated = passes is not None and passes.shape[1] < t
-    trials = np.repeat(passes, t, axis=1) if repeated else passes
-    return McdResult(ids, means, stds, np.full(len(ids), t, dtype=np.int64), trials, repeated)
+    return McdResult(ids, means, stds, np.full(len(ids), t, dtype=np.int64), trials)
 
 
 def confidence_interval(summary, z, quantile=False):

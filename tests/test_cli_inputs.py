@@ -3,14 +3,17 @@ no output file, never in a traceback or a silently different run: every
 JSON config value goes through numcore.from_json, which checks it against
 its dataclass field's annotation. Also: predict refuses a mean whose
 expm1 overflows, JSON nested too deeply is an error naming the file, a
-MemoryError is one line, --z-grid is bounded, and the manifest records
-the resolved settings."""
+MemoryError is one line, a trial count too large fails at its first
+array, --z-grid is bounded, and the manifest records the resolved
+settings."""
 
 import contextlib
 import io
 import json
 import math
 import os
+import subprocess
+import sys
 import tempfile
 import warnings
 from dataclasses import dataclass, field
@@ -130,6 +133,32 @@ def test_a_memory_error_without_a_message_names_its_type(ws, capsys, monkeypatch
     line = fails_cleanly(capsys, ws, "gen-data", "--config", ws / "s.json",
                          "--out", ws / "g.csv")
     assert line == "ltvmcd: error: MemoryError"
+
+
+@pytest.mark.parametrize("command", ["predict", "sweep-trials"])
+def test_a_trial_count_too_large_fails_at_its_first_array(ws, command):
+    """The trial buffer is allocated before any per-trial state, so 10**12
+    trials fail at once, naming the array; the child runs under an address
+    space cap, so a program that grew per-trial lists first would end in a
+    bare MemoryError instead of taking the machine's memory."""
+    nn.save_checkpoint(ws / "m.ckpt", nn.Checkpoint(network=nn.build_mlp(3, [8], 0.3, seed=2)))
+    trials = ["--trials", 10**12] if command == "predict" else ["--grid", f"1,{10**12}"]
+    argv = [command, "--model", ws / "m.ckpt", "--data", ws / "d.csv", *trials,
+            "--out", ws / "p.csv"]
+    cap = 1536 << 20
+    code = ("import resource, sys\n"
+            f"resource.setrlimit(resource.RLIMIT_AS, ({cap}, {cap}))\n"
+            "from ltvmcd.cli import main\n"
+            "sys.exit(main(sys.argv[1:]))")
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-c", code, *map(str, argv)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("ltvmcd: error: Unable to allocate"), proc.stderr
+    assert len(proc.stderr.splitlines()) == 1
+    assert sorted(os.listdir(ws)) == ["d.csv", "m.ckpt"]
 
 
 # -- predict: a mean whose expm1 overflows -----------------------------------

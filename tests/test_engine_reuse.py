@@ -1,13 +1,15 @@
 """The MCD engine reuses work without changing a bit.
 
-sweep-trials runs max(grid) trials per rep and reads each smaller T off
-the first T columns of that run; its rows must equal a per-T loop of
+sweep-trials runs max(grid) trials per rep and takes each smaller T's
+moments from the first T trials of that run, block by block, in one
+mcd_predict call with at=; its rows must equal a per-T loop of
 mcd_predict calls. Eval and mc_sample passes work in place on arrays the
 pass itself created; their outputs must equal an out-of-place reference,
 the caller's input must stay byte-unchanged, and the train tape must
 give the gradients the out-of-place intermediates give."""
 
 import csv
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -88,24 +90,41 @@ def test_sweep_rows_equal_a_per_t_loop(tmp_path, monkeypatch, case):
                               reps, 6, 0.5, batch)
 
 
+def test_sweep_holds_a_block_of_trials_not_the_matrix(tmp_path):
+    n, grid = 10_000, "1,16,256"
+    ds = small_dataset(n=n)
+    data.save_csv(ds, tmp_path / "d.csv")
+    net = nn.build_mlp(ds.dim, [8], 0.3, seed=1)
+    nn.save_checkpoint(tmp_path / "m.ckpt", nn.Checkpoint(network=net))
+    tracemalloc.start()
+    try:
+        assert cli.main(["sweep-trials", "--model", str(tmp_path / "m.ckpt"),
+                         "--data", str(tmp_path / "d.csv"), "--grid", grid, "--reps", "2",
+                         "--out", str(tmp_path / "s.csv")]) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < n * 256 * 8  # the n x max(grid) trial matrix alone would need this much
+
+
 @pytest.mark.parametrize("dropout", [0.3, 0.0])
 def test_first_t_is_the_run_at_t(dropout):
     net = nn.build_mlp(3, [8], dropout, seed=2)
     ds = small_dataset()
-    full = mcd_predict(net, ds, McdConfig(trials=6, master_seed=1, batch_size=9),
-                       keep_trials=True)
-    for t in (1, 3, 6):
-        got = full.first(t)
+    counts = (1, 3, 6)
+    results = mcd_predict(net, ds, McdConfig(trials=6, master_seed=1, batch_size=9),
+                          keep_trials=True, at=counts)
+    assert isinstance(results, tuple) and len(results) == len(counts)
+    for t, got in zip(counts, results):
         want = mcd_predict(net, ds, McdConfig(trials=t, master_seed=1, batch_size=9),
                            keep_trials=True)
         assert got.ids == want.ids
         for name in ("mean", "std", "n_trials", "trials"):
             a, b = getattr(got, name), getattr(want, name)
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
-    with pytest.raises(ValueError):
-        full.first(7)
-    with pytest.raises(ValueError):
-        mcd_predict(net, ds, McdConfig(trials=2)).first(1)
+    for bad in ((7,), (0,), (3, 7)):
+        with pytest.raises(ValueError):
+            mcd_predict(net, ds, McdConfig(trials=6), at=bad)
 
 
 # -- in-place inference passes -----------------------------------------------

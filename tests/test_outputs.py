@@ -1,8 +1,8 @@
 """One output commit per command: a command's artifacts and manifest reach
 disk together, only when it succeeds, so a failing command leaves its
-directory as it found it. Also: evaluate checks raw_mean against its
-mean, and MCD on a network without dropout keeps no n x T matrix unless
-asked to."""
+directory as it found it; two outputs that name one file are an error.
+Also: evaluate checks raw_mean against its mean, and MCD on a network
+without dropout keeps no n x T matrix unless asked to."""
 
 import csv
 import json
@@ -41,6 +41,14 @@ def inputs(tmp_path):
 
 # -- a failing command changes nothing ---------------------------------------
 
+def command_argv(inputs, command):
+    """A train or evaluate command line on the files of inputs."""
+    if command == "train":
+        return ["train", "--data", inputs / "d.csv", "--model", "mlp", "--out", inputs / "m.ckpt"]
+    return ["evaluate", "--preds", inputs / "p.csv", "--data", inputs / "d.csv",
+            "--k", 0.2, "--out", inputs / "r.json"]
+
+
 @pytest.mark.parametrize("command, bad_option", [
     ("train", "--history-out"),
     ("train", "--test-out"),
@@ -48,15 +56,23 @@ def inputs(tmp_path):
 ])
 def test_failed_command_leaves_its_directory_unchanged(inputs, capsys, command, bad_option):
     bad_path = inputs / "nodir" / "out.csv"
-    if command == "train":
-        argv = ["train", "--data", inputs / "d.csv", "--model", "mlp",
-                "--out", inputs / "m.ckpt"]
-    else:
-        argv = ["evaluate", "--preds", inputs / "p.csv", "--data", inputs / "d.csv",
-                "--k", 0.2, "--out", inputs / "r.json"]
     before = snapshot(inputs)
-    line = run_fails(capsys, *argv, bad_option, bad_path)
+    line = run_fails(capsys, *command_argv(inputs, command), bad_option, bad_path)
     assert str(bad_path) in line and ".ltvmcd-" not in line
+    assert snapshot(inputs) == before
+
+
+@pytest.mark.parametrize("command, option, same_as", [
+    ("train", "--history-out", "m.ckpt"),
+    ("train", "--test-out", "m.ckpt.manifest.json"),
+    ("evaluate", "--curve-out", "../{name}/r.json"),
+])
+def test_two_outputs_naming_one_file_fail_and_write_nothing(inputs, capsys, command, option,
+                                                            same_as):
+    path = f"{inputs}/{same_as.format(name=inputs.name)}"
+    before = snapshot(inputs)
+    line = run_fails(capsys, *command_argv(inputs, command), option, path)
+    assert line == f"ltvmcd: error: {path}: two outputs of this command name this file"
     assert snapshot(inputs) == before
 
 
