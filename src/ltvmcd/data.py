@@ -419,9 +419,14 @@ def standardize(train: Dataset, test: Dataset):
     """Fit per-feature mean/std on the TRAIN split only and apply to both.
 
     Zero-variance features pass through unscaled and uncentered. Returns
-    new datasets carrying the fitted parameters."""
-    mean = train.features.mean(axis=0)
-    std = train.features.std(axis=0)
+    new datasets carrying the fitted parameters; a mean or std that
+    overflows is a ValueError naming its feature."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = train.features.mean(axis=0)
+        std = train.features.std(axis=0)
+    bad = ~(np.isfinite(mean) & np.isfinite(std))
+    if bad.any():
+        raise ValueError(f"feature f{int(bad.argmax())}: its train-split mean or std overflows")
     constant = std < _ZERO_VAR_EPS
     mean = np.where(constant, 0.0, mean)
     std = np.where(constant, 1.0, std)

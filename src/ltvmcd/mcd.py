@@ -15,7 +15,8 @@ does not. Trial j's stream does not depend on T either, so the first t
 trials of a run at T >= t are the trials of the run at T = t: one call
 with at= answers several trial counts from one block loop, and
 sweep-trials pays for max(grid) trials per rep, not for the sum of its
-grid.
+grid. The part of a pass no dropout acts on (Network.shared_part: a
+DCNv2's cross branch) is computed once per block for its T passes to read.
 
 The result holds, as columns, the mean and sample standard deviation of
 each sample's trial vector in the model's output space. For log-MSE
@@ -143,13 +144,16 @@ def mcd_predict(net, data, cfg: McdConfig, loss_kind="log_mse", keep_trials=Fals
     trials = np.empty((n, cfg.trials)) if keep_trials else None
     moments = [(np.empty(n), np.empty(n)) for _ in counts]
     kept = [[] for _ in range(passes)]  # trial j's uniform draws, in order
+    shared_part = getattr(net, "shared_part", lambda rows: None)
     for b, (start, stop) in enumerate(blocks):
         block = buffer[: stop - start]
+        shared = shared_part(x[start:stop])
+        extra = {} if shared is None else {"shared": shared}
         for j in range(passes):
             rng = None
             if stochastic:
                 rng = _Draws(kept[j], RngStream(cfg.master_seed, f"mcd/{j}") if b == 0 else None)
-            out, _ = net.forward(x[start:stop], mode, rng)
+            out, _ = net.forward(x[start:stop], mode, rng, **extra)
             block[:, j] = _scalarize(loss_kind, out)
         for t, (means, stds) in zip(counts, moments):
             means[start:stop], stds[start:stop] = _moments(np.ascontiguousarray(block[:, :t]))

@@ -19,6 +19,11 @@ Only a train pass keeps a tape for backward. An eval or mc_sample pass
 keeps no per-layer caches, and its relu and dropout layers overwrite
 arrays that an earlier layer of the same pass created (never the caller's
 input), which gives the same bits with fewer allocations.
+
+Every eval or mc_sample pass on one input shares the layers no dropout
+acts on, today the cross branch: Network.shared_part(x) computes it once
+for forward(x, mode, rng, shared=...) to read, with the same bits. An
+overflow in a pass gives inf or nan, which the finite checks reject.
 """
 
 import json
@@ -29,9 +34,11 @@ import numpy as np
 
 from . import losses, numcore
 from .data import atomic_open
-from .numcore import NumericError, RngStream, ShapeError
+from .numcore import RngStream, ShapeError
 
 MODES = ("train", "mc_sample", "eval")
+
+_OVERFLOW_IS_CHECKED = np.errstate(over="ignore", invalid="ignore")
 
 
 class Dense:
@@ -114,9 +121,7 @@ class Dropout:
         return np.multiply(x, mask, out=x if inplace else None), mask
 
     def backward(self, cache, g):
-        if cache is None:
-            return [], g
-        return [], g * cache
+        return [], g if cache is None else g * cache
 
 
 class Cross:
@@ -179,15 +184,11 @@ class Network:
 
     def stochastic(self):
         """True if any layer draws randomness in mc_sample mode."""
-        layers = self.stack + self.deep
-        return any(l.kind == "dropout" and l.p > 0.0 for l in layers)
+        return any(l.kind == "dropout" and l.p > 0.0 for l in self.stack + self.deep)
 
     @property
     def output_dim(self):
-        if self.arch == "mlp":
-            dense = [l for l in self.stack if l.kind == "dense"]
-            return dense[-1].out_dim
-        return self.head.out_dim
+        return (self.head or [l for l in self.stack if l.kind == "dense"][-1]).out_dim
 
     def params(self):
         """Parameter matrices in fixed traversal order (stack, cross, deep, head)."""
@@ -204,35 +205,52 @@ class Network:
                 names.append((f"head.{'wb'[j]}", p))
         return names
 
-    def forward(self, x, mode="eval", rng=None):
+    def _cross_branch(self, x, caches=None):
+        """The cross branch's output on x; caches, if a list, gets each layer's."""
+        xl = x
+        for layer in self.cross:
+            xl, c = layer.forward(x, xl)
+            if caches is not None:
+                caches.append(c)
+        return xl
+
+    @_OVERFLOW_IS_CHECKED
+    def shared_part(self, x):
+        """What every eval and mc_sample pass on x shares, for forward's
+        shared=: the cross branch's output, which no dropout acts on. None
+        for a network without cross layers."""
+        return self._cross_branch(numcore.as_matrix(x)) if self.cross else None
+
+    @_OVERFLOW_IS_CHECKED
+    def forward(self, x, mode="eval", rng=None, shared=None):
         """Run the network; returns (output, tape). A train tape holds the
         intermediates backward() needs; other modes keep none. Identical
-        (x, mode, rng stream) always reproduce the identical output."""
+        (x, mode, rng stream) always reproduce the identical output.
+
+        shared takes shared_part(x), which an eval or mc_sample pass reads,
+        never writes, instead of computing it again; train passes refuse it."""
         if mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+        if shared is not None and mode == "train":
+            raise ValueError("a train pass computes its own shared part")
         x = numcore.as_matrix(x)
         if x.shape[1] != self.input_dim:
             raise ShapeError(f"batch width {x.shape[1]} != network input width {self.input_dim}")
-        if self.arch == "mlp":
-            y, caches = _stack_forward(self.stack, x, mode, rng)
-            branches = {"stack": caches}
-        else:
-            # dcnv2: cross and deep branches in parallel, concat, dense head
-            xl = x
-            cross_caches = []
-            for layer in self.cross:
-                xl, c = layer.forward(x, xl)
-                if mode == "train":
-                    cross_caches.append(c)
-            h, deep_caches = _stack_forward(self.deep, x, mode, rng)
-            y, head_cache = self.head.forward(np.concatenate([xl, h], axis=1), mode, rng)
-            branches = {"cross": cross_caches, "deep": deep_caches, "head": head_cache}
+        cross = [] if mode == "train" else None
+        if shared is None:
+            shared = self._cross_branch(x, cross)
+        y, body = _stack_forward(self.stack + self.deep, x, mode, rng)
+        head = None
+        if self.head is not None:  # dcnv2: cross and deep outputs side by side
+            y, head = self.head.forward(np.concatenate([shared, y], axis=1), mode, rng)
         numcore.ensure_finite(y, "network output")
         tape = {"mode": mode, "out_shape": y.shape}
         if mode == "train":
-            tape.update(branches)
+            k = len(self.stack)  # body runs the mlp's stack or the dcnv2's deep layers
+            tape.update(stack=body[:k], cross=cross, deep=body[k:], head=head)
         return y, tape
 
+    @_OVERFLOW_IS_CHECKED
     def backward(self, tape, grad_out):
         """Reverse-mode gradients. Returns (param_grads, input_grad) with
         param_grads aligned to params(). Dropout masks are reused from the
@@ -244,12 +262,11 @@ class Network:
             raise ShapeError(
                 f"upstream grad shape {grad_out.shape} != output shape {tape['out_shape']}"
             )
-        if self.arch == "mlp":
+        if self.head is None:
             return _stack_backward(self.stack, tape["stack"], grad_out)
         head_pg, gz = self.head.backward(tape["head"], grad_out)
-        d = self.input_dim
-        gxl = gz[:, :d]
-        deep_pg, gh = _stack_backward(self.deep, tape["deep"], gz[:, d:])
+        gxl = gz[:, :self.input_dim]
+        deep_pg, gh = _stack_backward(self.deep, tape["deep"], gz[:, self.input_dim:])
         gx0 = np.zeros_like(gxl)
         cross_rev = []
         for layer, cache in zip(reversed(self.cross), reversed(tape["cross"])):
@@ -266,18 +283,16 @@ def _stack_forward(layers, h, mode, rng):
     train mode the caches are None, and each layer whose input an earlier
     layer of this stack created works in place; the caller's h is never
     written."""
-    if mode == "train":
-        caches = []
-        for layer in layers:
-            h, c = layer.forward(h, mode, rng)
-            caches.append(c)
-        return h, caches
-    owned = False
+    caches = [] if mode == "train" else None
+    owned = False  # stays False in train mode, whose caches hold the inputs
     for layer in layers:
-        out, _ = layer.forward(h, mode, rng, inplace=owned)
-        owned = owned or out is not h
+        out, c = layer.forward(h, mode, rng, inplace=owned)
+        if caches is None:
+            owned = owned or out is not h
+        else:
+            caches.append(c)
         h = out
-    return h, None
+    return h, caches
 
 
 def _stack_backward(layers, caches, g):

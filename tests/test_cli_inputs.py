@@ -4,8 +4,9 @@ JSON config value goes through numcore.from_json, which checks it against
 its dataclass field's annotation. Also: predict refuses a mean whose
 expm1 overflows, JSON nested too deeply is an error naming the file, a
 MemoryError is one line, a trial count too large fails at its first
-array, --z-grid is bounded, and the manifest records the resolved
-settings."""
+array, a feature whose train-split std overflows and an overflow inside
+a network are one line with no numpy warning, --z-grid is bounded, and
+the manifest records the resolved settings."""
 
 import contextlib
 import io
@@ -192,6 +193,44 @@ def test_a_mean_that_overflows_is_one_line_and_no_file(ws, capsys, command):
         line = fails_cleanly(capsys, ws, command, "--model", ws / "m.ckpt",
                              "--data", ws / "d.csv", *extra, "--out", ws / "p.csv")
     assert line.startswith(f"ltvmcd: error: id {ds.ids[0]!r}: MCD mean inf and std ")
+
+
+# -- feature values out of range --------------------------------------------
+
+def with_huge_f0(ws, rows):
+    """d.csv with feature f0 of the given rows set to 1e200, as big.csv."""
+    ds = small_dataset()
+    features = ds.features.copy()
+    features[rows, 0] = 1e200
+    data.save_csv(data.Dataset(ds.ids, features, ds.labels), ws / "big.csv")
+
+
+@pytest.mark.parametrize("command", ["train", "compare"])
+def test_a_feature_whose_std_overflows_is_one_line_and_no_file(ws, capsys, command):
+    with_huge_f0(ws, slice(0, 10))  # some of these rows land in every train split
+    (ws / "t.json").write_text(json.dumps({"train": {"epochs": 1}}))
+    model = ["--model", "mlp"] if command == "train" else []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        line = fails_cleanly(capsys, ws, command, "--data", ws / "big.csv", *model,
+                             "--config", ws / "t.json", "--out", ws / "out")
+    assert line == "ltvmcd: error: feature f0: its train-split mean or std overflows"
+
+
+@pytest.mark.parametrize("arch", ["dcnv2", "mlp"])
+def test_an_overflow_inside_the_network_is_one_line(ws, capsys, arch):
+    with_huge_f0(ws, 0)
+    if arch == "dcnv2":  # x0 * (x W^T + b) overflows in the first cross layer
+        net = nn.build_dcnv2(3, 2, [8], 0.3, seed=2)
+    else:  # the dropout multiply overflows
+        net = nn.build_mlp(3, [8], 0.3, seed=2)
+        net.stack[0].b[:] = 1.7e308
+    nn.save_checkpoint(ws / "m.ckpt", nn.Checkpoint(network=net))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        line = fails_cleanly(capsys, ws, "predict", "--model", ws / "m.ckpt",
+                             "--data", ws / "big.csv", "--trials", 3, "--out", ws / "p.csv")
+    assert line == "ltvmcd: error: matmul result contains NaN or Inf"
 
 
 # -- evaluate --z-grid -------------------------------------------------------

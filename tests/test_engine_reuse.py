@@ -66,10 +66,10 @@ def test_sweep_rows_equal_a_per_t_loop(tmp_path, monkeypatch, case):
     passes = {"mc_sample": 0, "eval": 0}
     forward = nn.Network.forward
 
-    def counted(self, x, mode="eval", rng=None):
+    def counted(self, x, mode="eval", rng=None, **kwargs):
         if len(x):  # the checkpoint load runs one zero-row pass
             passes[mode] += 1
-        return forward(self, x, mode, rng)
+        return forward(self, x, mode, rng, **kwargs)
 
     monkeypatch.setattr(nn.Network, "forward", counted)
     assert run("sweep-trials", "--model", tmp_path / "m.ckpt", "--data", tmp_path / "d.csv",
