@@ -132,7 +132,7 @@ def _prepare_inference(args):
     dataset = datamod.load_csv(args.data)
     feats = dataset.features
     if ckpt.norm is not None:
-        feats = datamod.apply_standardization(feats, ckpt.norm[0], ckpt.norm[1])
+        feats = datamod.apply_standardization(feats, *ckpt.norm, dataset.ids)
     seed = _resolve_seed(args.seed, 0)
     return ckpt, datamod.Dataset(dataset.ids, feats, dataset.labels), seed
 
@@ -158,19 +158,18 @@ def cmd_gen_data(args, out):
 def _prepare_training(args):
     """Shared start of train and compare: read the config file, resolve the
     seed, load the dataset, split off the test fraction, and standardize
-    on the train split. Returns (TrainFile with the seed resolved, seed,
-    (train_raw, test_raw), (train_std, test_std))."""
+    the train split in place on its own statistics. Returns (TrainFile
+    with the seed resolved, seed, train_std, test_raw)."""
     cfg = _load_config(TrainFile, args.config) if args.config else TrainFile()
     seed = _resolve_seed(args.seed, cfg.train.master_seed)
     cfg = replace(cfg, train=replace(cfg.train, master_seed=seed))
-    raw = datamod.split(datamod.load_csv(args.data), 1.0 - cfg.test_fraction, seed)
-    return cfg, seed, raw, datamod.standardize(*raw)
+    train, test = datamod.split(datamod.load_csv(args.data), 1.0 - cfg.test_fraction, seed)
+    datamod.standardize_in_place(train)  # a fresh gather that nothing else holds
+    return cfg, seed, train, test
 
 
 def cmd_train(args, out):
-    file_cfg, seed, (train_raw, test_raw), (train_std, test_std) = _prepare_training(args)
-    n_train = train_raw.n
-    del train_raw, test_std  # hold no dataset copy through training that is not used
+    file_cfg, seed, train_std, test_raw = _prepare_training(args)
     cfg = file_cfg.train.with_loss(args.loss)
     net = file_cfg.model.build(args.model, train_std.dim, losses.head_width(args.loss), seed)
     net, history = trainer.train(net, train_std, cfg)
@@ -186,7 +185,7 @@ def cmd_train(args, out):
     if args.test_out:
         datamod.save_csv(test_raw, out.path(args.test_out))
 
-    print(f"trained {args.model}/{args.loss} on {n_train} rows, "
+    print(f"trained {args.model}/{args.loss} on {train_std.n} rows, "
           f"{len(history)} epochs, final val loss {history[-1][2]:.6g}; "
           f"checkpoint at {args.out}")
     return {**asdict(file_cfg), "train": asdict(cfg), "model_kind": args.model}, seed
@@ -291,6 +290,7 @@ def _parse_z_grid(spec_str):
 
 
 def cmd_evaluate(args, out):
+    metrics.check_k(args.k)
     result, raw_means = _read_predictions(args.preds)
     dataset = datamod.load_csv(args.data)
     if len(result) != dataset.n:
@@ -339,6 +339,7 @@ def _mean_std(values):
 
 
 def cmd_sweep_trials(args, out):
+    metrics.check_k(args.k)
     ckpt, ds, seed = _prepare_inference(args)
     try:
         grid = [int(t) for t in args.grid.split(",")]
@@ -376,8 +377,10 @@ def cmd_sweep_trials(args, out):
 
 
 def cmd_compare(args, out):
-    file_cfg, seed, (_, test_raw), (train_std, test_std) = _prepare_training(args)
-    labels = test_raw.labels
+    metrics.check_k(args.k)
+    file_cfg, seed, train_std, test_std = _prepare_training(args)
+    datamod.standardize_in_place(test_std, train_std.norm_mean, train_std.norm_std)
+    labels = test_std.labels
 
     def fit(kind, loss):
         net = file_cfg.model.build(kind, train_std.dim, losses.head_width(loss), seed)

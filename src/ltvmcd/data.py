@@ -1,6 +1,9 @@
 """Synthetic zero-inflated spend data, staged output files, CSV ingestion,
 split, and feature standardization.
 
+standardize returns standardized copies of both splits; train instead
+standardizes its fresh train split in place, so it holds one copy.
+
 Labels are raw currency amounts over the prediction horizon; every log
 transform lives at the loss/metrics boundary, never in storage. The
 generator couples a latent score to both purchase propensity and purchase
@@ -27,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .losses import _sigmoid
-from .numcore import RngStream, ensure_finite, from_json
+from .numcore import NumericError, RngStream, ensure_finite, from_json
 
 # Generator shape constants: propensity slope, amount location offset and
 # slope per unit of latent score.
@@ -37,9 +40,10 @@ _AMOUNT_MU1 = 0.5
 
 _ZERO_VAR_EPS = 1e-12
 
-# Rows per block: save_csv formats and writes, and load_csv packs, this
-# many rows at a time.
+# Rows per block: load_csv packs _BLOCK_ROWS rows at a time, and save_csv
+# formats and writes _SAVE_ROWS, which bounds the text it holds at once.
 _BLOCK_ROWS = 4096
+_SAVE_ROWS = 1024
 
 
 class CsvFormatError(ValueError):
@@ -50,8 +54,10 @@ class CsvFormatError(ValueError):
 class Dataset:
     """Feature matrix, raw non-negative labels, and row ids.
 
-    Immutable by convention after construction. norm_mean/norm_std are set
-    on the copies returned by standardize().
+    Immutable by convention after construction, except that
+    standardize_in_place() overwrites the features of a dataset nothing
+    else holds. norm_mean/norm_std are set by standardize_in_place() and on
+    the copies standardize() returns.
     """
 
     ids: list
@@ -215,7 +221,7 @@ def save_csv(data: Dataset, path):
     """Write id,f0..f{d-1},label rows atomically, byte for byte as
     write_csv writes them. Floats use repr, which round-trips doubles
     exactly, so save -> load is lossless. Rows are formatted from
-    np.column_stack([features, labels]).tolist() one block of _BLOCK_ROWS
+    np.column_stack([features, labels]).tolist() one block of _SAVE_ROWS
     rows at a time, so the file is never held in memory whole. A repr float
     never needs quoting, so a block whose ids csv.writer would write as they
     are is joined into lines here, which skips csv.writer's scan of every
@@ -223,8 +229,8 @@ def save_csv(data: Dataset, path):
     with atomic_open(path) as fh:
         writer = _csv_writer(fh)
         writer.writerow(_header(data.dim))
-        for s in range(0, data.n, _BLOCK_ROWS):
-            e = s + _BLOCK_ROWS
+        for s in range(0, data.n, _SAVE_ROWS):
+            e = s + _SAVE_ROWS
             ids = data.ids[s:e]
             values = np.column_stack([data.features[s:e], data.labels[s:e]]).tolist()
             rows = ([row_id, *map(repr, row)] for row_id, row in zip(ids, values))
@@ -418,31 +424,44 @@ def _take(data: Dataset, idx):
 def standardize(train: Dataset, test: Dataset):
     """Fit per-feature mean/std on the TRAIN split only and apply to both.
 
-    Zero-variance features pass through unscaled and uncentered. Returns
-    new datasets carrying the fitted parameters; a mean or std that
-    overflows is a ValueError naming its feature."""
+    Returns new datasets carrying the fitted parameters and leaves both
+    inputs as they are: each copy is standardized by standardize_in_place."""
+    train, test = (Dataset(list(ds.ids), ds.features.copy(), ds.labels.copy()) for ds in (train, test))
+    standardize_in_place(train)
+    standardize_in_place(test, train.norm_mean, train.norm_std)
+    return train, test
+
+
+def standardize_in_place(data: Dataset, mean=None, std=None):
+    """Standardize data.features in place with mean and std (by default its
+    own, fitted per feature) and set them as data.norm_mean/norm_std.
+    Fitted zero-variance features pass through unscaled and uncentered. A
+    fitted mean or std that overflows is a ValueError naming its feature."""
+    if mean is None:
+        with np.errstate(over="ignore", invalid="ignore"):
+            mean = data.features.mean(axis=0)
+            std = data.features.std(axis=0)
+        bad = ~(np.isfinite(mean) & np.isfinite(std))
+        if bad.any():
+            raise ValueError(f"feature f{int(bad.argmax())}: its train-split mean or std overflows")
+        constant = std < _ZERO_VAR_EPS
+        mean = np.where(constant, 0.0, mean)
+        std = np.where(constant, 1.0, std)
+    apply_standardization(data.features, mean, std, data.ids, out=data.features)
+    data.norm_mean, data.norm_std = mean, std
+
+
+def apply_standardization(features, mean, std, ids=None, out=None):
+    """(features - mean) / std, written into out when it is given; with
+    out=features, x -= mean; x /= std does the same IEEE operations element
+    by element. The first result that is not finite is a ValueError naming
+    its feature and its row: the row's id from ids, or else its index."""
     with np.errstate(over="ignore", invalid="ignore"):
-        mean = train.features.mean(axis=0)
-        std = train.features.std(axis=0)
-    bad = ~(np.isfinite(mean) & np.isfinite(std))
-    if bad.any():
-        raise ValueError(f"feature f{int(bad.argmax())}: its train-split mean or std overflows")
-    constant = std < _ZERO_VAR_EPS
-    mean = np.where(constant, 0.0, mean)
-    std = np.where(constant, 1.0, std)
-    out = []
-    for ds in (train, test):
-        out.append(
-            Dataset(
-                ids=list(ds.ids),
-                labels=ds.labels.copy(),
-                features=apply_standardization(ds.features, mean, std),
-                norm_mean=mean.copy(),
-                norm_std=std.copy(),
-            )
-        )
-    return out[0], out[1]
-
-
-def apply_standardization(features, mean, std):
-    return (np.asarray(features, dtype=np.float64) - mean) / std
+        out = np.divide(np.subtract(features, mean, out=out), std, out=out)
+    try:
+        ensure_finite(out, "standardized features")
+    except NumericError:
+        i, j = np.argwhere(~np.isfinite(out))[0]
+        row = f"id {ids[i]!r}" if ids is not None else f"row {i}"
+        raise ValueError(f"{row}: feature f{j} is not finite once standardized") from None
+    return out

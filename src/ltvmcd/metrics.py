@@ -44,9 +44,14 @@ def _rank_descending(values):
     return np.lexsort((np.arange(n), -values))
 
 
-def _top_set_size(k, n):
+def check_k(k):
+    """ValueError unless the top-k fraction k is in (0, 1]."""
     if not 0.0 < k <= 1.0:
         raise ValueError(f"k must be in (0, 1], got {k}")
+
+
+def _top_set_size(k, n):
+    check_k(k)
     return math.ceil(k * n)
 
 
