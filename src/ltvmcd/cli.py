@@ -125,16 +125,15 @@ def _fmt(value):
 
 
 def _prepare_inference(args):
-    """Shared start of predict and sweep-trials: load the checkpoint and the
-    dataset, standardize the features with the checkpoint's norm, and
-    resolve the seed. Returns (checkpoint, standardized dataset, seed)."""
+    """Shared start of predict and sweep-trials, once their options are
+    checked: load the checkpoint and the dataset, and standardize the
+    dataset in place with the checkpoint's norm. Returns (checkpoint,
+    dataset)."""
     ckpt = nn.load_checkpoint(args.model)
     dataset = datamod.load_csv(args.data)
-    feats = dataset.features
     if ckpt.norm is not None:
-        feats = datamod.apply_standardization(feats, *ckpt.norm, dataset.ids)
-    seed = _resolve_seed(args.seed, 0)
-    return ckpt, datamod.Dataset(dataset.ids, feats, dataset.labels), seed
+        datamod.standardize_in_place(dataset, *ckpt.norm)
+    return ckpt, dataset
 
 
 def _raw_space(loss_kind, means):
@@ -201,8 +200,9 @@ def _raw_mean(mean):
 
 
 def cmd_predict(args, out):
-    ckpt, ds, seed = _prepare_inference(args)
+    seed = _resolve_seed(args.seed, 0)
     cfg = McdConfig(trials=args.trials, master_seed=seed, batch_size=args.batch_size)
+    ckpt, ds = _prepare_inference(args)
     result = mcd_predict(ckpt.network, ds, cfg, loss_kind=ckpt.loss_kind,
                          keep_trials=args.keep_trials)
 
@@ -291,6 +291,7 @@ def _parse_z_grid(spec_str):
 
 def cmd_evaluate(args, out):
     metrics.check_k(args.k)
+    grid = _parse_z_grid(args.z_grid)
     result, raw_means = _read_predictions(args.preds)
     dataset = datamod.load_csv(args.data)
     if len(result) != dataset.n:
@@ -306,7 +307,6 @@ def cmd_evaluate(args, out):
     else:
         preds_raw = result.mean
         labels_model = labels_raw
-    grid = _parse_z_grid(args.z_grid)
     report = metrics.build_report(preds_raw, labels_raw, k=args.k,
                                   summaries=result, labels_model_space=labels_model,
                                   z_grid=grid)
@@ -340,7 +340,6 @@ def _mean_std(values):
 
 def cmd_sweep_trials(args, out):
     metrics.check_k(args.k)
-    ckpt, ds, seed = _prepare_inference(args)
     try:
         grid = [int(t) for t in args.grid.split(",")]
     except ValueError:
@@ -349,14 +348,17 @@ def cmd_sweep_trials(args, out):
         _fail(f"grid entries must be >= 1, got {args.grid!r}")
     if args.reps < 1:
         _fail("reps must be >= 1")
+    seed = _resolve_seed(args.seed, 0)
+    # one run at the largest T per rep; each smaller T reads its first trials
+    cfg = McdConfig(trials=max(grid), master_seed=seed, batch_size=args.batch_size)
+    ckpt, ds = _prepare_inference(args)
 
     labels = ds.labels
     ginis = {t: [] for t in grid}
     mapes = {t: [] for t in grid}
     for rep in range(args.reps):
-        # one run at the largest T per rep; each smaller T reads its first trials
-        cfg = McdConfig(trials=max(grid), master_seed=seed + rep, batch_size=args.batch_size)
-        results = mcd_predict(ckpt.network, ds, cfg, loss_kind=ckpt.loss_kind, at=ginis)
+        results = mcd_predict(ckpt.network, ds, replace(cfg, master_seed=seed + rep),
+                              loss_kind=ckpt.loss_kind, at=ginis)
         for t, result in zip(ginis, results):
             preds_raw = _raw_space(ckpt.loss_kind, result.mean)
             ginis[t].append(metrics.normalized_gini(preds_raw, labels))
@@ -378,7 +380,9 @@ def cmd_sweep_trials(args, out):
 
 def cmd_compare(args, out):
     metrics.check_k(args.k)
+    mcd_cfg = McdConfig(trials=args.trials)  # checked before the data is read
     file_cfg, seed, train_std, test_std = _prepare_training(args)
+    mcd_cfg = replace(mcd_cfg, master_seed=seed)
     datamod.standardize_in_place(test_std, train_std.norm_mean, train_std.norm_std)
     labels = test_std.labels
 
@@ -392,8 +396,7 @@ def cmd_compare(args, out):
         return _raw_space(loss, _scalarize(loss, head))
 
     def mcd_preds(net, loss):
-        cfg = McdConfig(trials=args.trials, master_seed=seed)
-        return _raw_space(loss, mcd_predict(net, test_std, cfg, loss_kind=loss).mean)
+        return _raw_space(loss, mcd_predict(net, test_std, mcd_cfg, loss_kind=loss).mean)
 
     mlp = fit("mlp", "log_mse")
     dcn = fit("dcnv2", "log_mse")

@@ -1,8 +1,9 @@
 """Synthetic zero-inflated spend data, staged output files, CSV ingestion,
 split, and feature standardization.
 
-standardize returns standardized copies of both splits; train instead
-standardizes its fresh train split in place, so it holds one copy.
+Every command standardizes in place: train its fresh train split, compare
+also its test split, predict and sweep-trials the dataset they loaded.
+standardize returns standardized copies of both splits for library use.
 
 Labels are raw currency amounts over the prediction horizon; every log
 transform lives at the loss/metrics boundary, never in storage. The
@@ -447,21 +448,22 @@ def standardize_in_place(data: Dataset, mean=None, std=None):
         constant = std < _ZERO_VAR_EPS
         mean = np.where(constant, 0.0, mean)
         std = np.where(constant, 1.0, std)
-    apply_standardization(data.features, mean, std, data.ids, out=data.features)
+    apply_standardization(data.features, mean, std, data.ids)
     data.norm_mean, data.norm_std = mean, std
 
 
-def apply_standardization(features, mean, std, ids=None, out=None):
-    """(features - mean) / std, written into out when it is given; with
-    out=features, x -= mean; x /= std does the same IEEE operations element
-    by element. The first result that is not finite is a ValueError naming
-    its feature and its row: the row's id from ids, or else its index."""
+def apply_standardization(features, mean, std, ids=None):
+    """Standardize the float64 matrix features in place, x -= mean; x /= std,
+    and return it: the same IEEE operations, element by element, as
+    (features - mean) / std on a copy. Every command standardizes this way.
+    The first result that is not finite is a ValueError naming its feature
+    and its row: the row's id from ids, or else its index."""
     with np.errstate(over="ignore", invalid="ignore"):
-        out = np.divide(np.subtract(features, mean, out=out), std, out=out)
+        np.divide(np.subtract(features, mean, out=features), std, out=features)
     try:
-        ensure_finite(out, "standardized features")
+        ensure_finite(features, "standardized features")
     except NumericError:
-        i, j = np.argwhere(~np.isfinite(out))[0]
+        i, j = np.argwhere(~np.isfinite(features))[0]
         row = f"id {ids[i]!r}" if ids is not None else f"row {i}"
         raise ValueError(f"{row}: feature f{j} is not finite once standardized") from None
-    return out
+    return features

@@ -31,7 +31,6 @@ sample.
 """
 
 from dataclasses import dataclass
-from statistics import NormalDist
 
 import numpy as np
 
@@ -225,21 +224,11 @@ def _result(ids, means, stds, t, trials):
     return McdResult(ids, means, stds, np.full(len(ids), t, dtype=np.int64), trials)
 
 
-def confidence_interval(summary, z, quantile=False):
+def confidence_interval(summary, z):
     """Closed interval mean ± z·std/sqrt(T) of one PredictionSummary, or
-    elementwise arrays (lo, hi) of a whole McdResult.
-
-    By default z is the literal multiplier in [0, 1]. With quantile=True,
-    z is instead read as a central coverage level and mapped through the
-    standard normal quantile function.
-    """
-    if quantile:
-        if not 0.0 <= z < 1.0:
-            raise ValueError("coverage level must be in [0, 1) in quantile mode")
-        mult = NormalDist().inv_cdf(0.5 * (1.0 + z))
-    else:
-        if not 0.0 <= z <= 1.0:
-            raise ValueError("confidence threshold z must be in [0, 1]")
-        mult = z
-    half = mult * summary.std / np.sqrt(summary.n_trials)
+    elementwise arrays (lo, hi) of a whole McdResult. z is the paper's
+    literal multiplier, in [0, 1]."""
+    if not 0.0 <= z <= 1.0:
+        raise ValueError("confidence threshold z must be in [0, 1]")
+    half = z * summary.std / np.sqrt(summary.n_trials)
     return summary.mean - half, summary.mean + half

@@ -13,7 +13,7 @@ predictor as degenerate rather than read meaning into that number.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -83,20 +83,17 @@ def normalized_gini(preds, labels):
     return _raw_gini(a, p) / denom
 
 
-def top_k_mape(preds_raw, labels_raw, k=0.05, by_prediction=False):
-    """Mean absolute percentage error over the top ceil(k*N) samples.
-
-    The cohort is picked by true label by default; by_prediction switches
-    the selection to the model's own ranking. Both preds and labels must
-    be in raw amount space. A zero label inside the cohort is an error
-    (the percentage is undefined there), which signals that k exceeds the
+def top_k_mape(preds_raw, labels_raw, k=0.05):
+    """Mean absolute percentage error over the top ceil(k*N) samples by
+    true label, the paper's top spenders. Both preds and labels must be in
+    raw amount space. A zero label inside the cohort is an error (the
+    percentage is undefined there), which signals that k exceeds the
     dataset's positive mass.
     """
     p, a = _check_pair(preds_raw, labels_raw)
     n = a.shape[0]
     m = _top_set_size(k, n)
-    basis = p if by_prediction else a
-    chosen = _rank_descending(basis)[:m]
+    chosen = _rank_descending(a)[:m]
     y = a[chosen]
     if np.any(y == 0.0):
         raise NumericError(
@@ -181,17 +178,7 @@ class MetricsReport:
                 raise NumericError("curve accuracy outside [0, 1]")
 
     def to_dict(self):
-        curve = None
-        if self.confidence_curve is not None:
-            curve = [[z, acc] for z, acc in self.confidence_curve]
-        return {
-            "n": self.n,
-            "k": self.k,
-            "normalized_gini": self.normalized_gini,
-            "top_k_mape": self.top_k_mape,
-            "top_k_hit_rate": self.top_k_hit_rate,
-            "confidence_curve": curve,
-        }
+        return asdict(self)
 
 
 def build_report(preds_raw, labels_raw, k=0.05, summaries=None,

@@ -159,12 +159,6 @@ class Cross:
         return [gw, gb], gx0, gxl
 
 
-def cross_layer_forward(x0, xl, w, b):
-    """Functional form of the cross layer (output only)."""
-    out, _ = Cross(w, b).forward(numcore.as_matrix(x0), numcore.as_matrix(xl))
-    return out
-
-
 class Network:
     """Ordered layer container; see the module docstring for topologies.
 

@@ -308,11 +308,3 @@ class TestConfidenceInterval:
         assert hi2 - lo2 >= hi1 - lo1
         if z_hi - z_lo > 1e-9:  # strict growth whenever the std is positive
             assert hi2 - lo2 > hi1 - lo1
-
-    def test_quantile_mode(self):
-        s = PredictionSummary("a", 0.0, 2.0, 4)
-        lo, hi = confidence_interval(s, 0.6826894921370859, quantile=True)
-        # 68.27% central coverage maps to one standard normal unit
-        assert hi == pytest.approx(2.0 / math.sqrt(4), rel=1e-9)
-        with pytest.raises(ValueError):
-            confidence_interval(s, 1.0, quantile=True)

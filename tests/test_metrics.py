@@ -90,14 +90,6 @@ class TestTopKMape:
         preds[:5] = labels[:5]
         assert metrics.top_k_mape(preds, labels, 0.05) == 0.0
 
-    def test_by_prediction_flag(self):
-        labels = np.array([10.0, 1.0, 1.0, 1.0])
-        preds = np.array([0.0, 5.0, 4.0, 3.0])
-        by_label = metrics.top_k_mape(preds, labels, 0.25)
-        by_pred = metrics.top_k_mape(preds, labels, 0.25, by_prediction=True)
-        assert by_label == 1.0  # top label is 10, predicted 0
-        assert by_pred == 4.0  # top prediction is 5 on a label of 1
-
     def test_zero_label_in_cohort_rejected(self):
         with pytest.raises(NumericError):
             metrics.top_k_mape([1.0, 2.0, 3.0], [0.0, 0.0, 1.0], 1.0)

@@ -138,11 +138,6 @@ class TestCross:
         assert rel_err(gx0, fd_grad(loss, x0)) < 1e-4
         assert rel_err(gxl, fd_grad(loss, xl)) < 1e-4
 
-    def test_functional_form(self):
-        w = np.eye(2)
-        out = nn.cross_layer_forward([[1.0, 2.0]], [[1.0, 2.0]], w, np.zeros(2))
-        assert out.tolist() == [[2.0, 6.0]]
-
     def test_nonsquare_rejected(self):
         with pytest.raises(ShapeError):
             nn.Cross(np.zeros((2, 3)), np.zeros(2))
