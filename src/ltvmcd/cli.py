@@ -136,11 +136,22 @@ def _prepare_inference(args):
     return ckpt, dataset
 
 
-def _raw_space(loss_kind, means):
-    """Map per-sample MCD means into raw currency amounts."""
-    if loss_kind == "log_mse":
-        return np.expm1(means)
-    return means
+def _raw_space(loss_kind, means, ids):
+    """Map per-sample means into raw currency amounts; a log-space mean
+    whose np.expm1 overflows is a ValueError naming its id."""
+    if loss_kind != "log_mse":
+        return means
+    with np.errstate(over="ignore"):  # an overflow is checked next
+        raw = np.expm1(means)
+    finite = np.isfinite(raw)
+    if not finite.all():
+        _expm1_overflows(ids, means, int(finite.argmin()))
+    return raw
+
+
+def _expm1_overflows(ids, means, i):
+    _fail(f"id {ids[i]!r}: mean {float(means[i])!r} overflows expm1; "
+          "the model's predictions are out of range")
 
 
 def cmd_gen_data(args, out):
@@ -213,9 +224,7 @@ def cmd_predict(args, out):
     if ckpt.loss_kind == "log_mse":
         raw = [_raw_mean(m) for m in means]
         if None in raw:
-            i = raw.index(None)
-            _fail(f"id {result.ids[i]!r}: mean {means[i]!r} overflows expm1; "
-                  "the model's predictions are out of range")
+            _expm1_overflows(result.ids, means, raw.index(None))
         header.append("raw_mean")
         columns.append(map(_fmt, raw))
     rows = zip(*columns)
@@ -310,7 +319,7 @@ def cmd_evaluate(args, out):
     report = metrics.build_report(preds_raw, labels_raw, k=args.k,
                                   summaries=result, labels_model_space=labels_model,
                                   z_grid=grid)
-    _write_json(out.path(args.out), report.to_dict())
+    _write_json(out.path(args.out), asdict(report))
 
     curve_path = args.curve_out
     if curve_path is None:
@@ -360,7 +369,7 @@ def cmd_sweep_trials(args, out):
         results = mcd_predict(ckpt.network, ds, replace(cfg, master_seed=seed + rep),
                               loss_kind=ckpt.loss_kind, at=ginis)
         for t, result in zip(ginis, results):
-            preds_raw = _raw_space(ckpt.loss_kind, result.mean)
+            preds_raw = _raw_space(ckpt.loss_kind, result.mean, result.ids)
             ginis[t].append(metrics.normalized_gini(preds_raw, labels))
             mapes[t].append(metrics.top_k_mape(preds_raw, labels, args.k))
     rows = []
@@ -384,7 +393,6 @@ def cmd_compare(args, out):
     file_cfg, seed, train_std, test_std = _prepare_training(args)
     mcd_cfg = replace(mcd_cfg, master_seed=seed)
     datamod.standardize_in_place(test_std, train_std.norm_mean, train_std.norm_std)
-    labels = test_std.labels
 
     def fit(kind, loss):
         net = file_cfg.model.build(kind, train_std.dim, losses.head_width(loss), seed)
@@ -393,10 +401,10 @@ def cmd_compare(args, out):
 
     def eval_preds(net, loss):
         head, _ = net.forward(test_std.features, "eval")
-        return _raw_space(loss, _scalarize(loss, head))
+        return _raw_space(loss, _scalarize(loss, head), test_std.ids)
 
     def mcd_preds(net, loss):
-        return _raw_space(loss, mcd_predict(net, test_std, mcd_cfg, loss_kind=loss).mean)
+        return _raw_space(loss, mcd_predict(net, test_std, mcd_cfg, loss_kind=loss).mean, test_std.ids)
 
     mlp = fit("mlp", "log_mse")
     dcn = fit("dcnv2", "log_mse")
@@ -411,12 +419,10 @@ def cmd_compare(args, out):
 
     rows = []
     for name, preds in table:
-        gini = metrics.normalized_gini(preds, labels)
-        mape = metrics.top_k_mape(preds, labels, args.k)
-        hit = metrics.top_k_hit_rate(preds, labels, args.k)
-        rows.append((name, _fmt(gini), _fmt(mape), _fmt(hit)))
-        print(f"{name:<10} gini={gini:.4f} mape@{args.k:g}={mape:.4f} "
-              f"hit@{args.k:g}={hit:.4f}")
+        r = metrics.build_report(preds, test_std.labels, k=args.k)
+        rows.append((name, _fmt(r.normalized_gini), _fmt(r.top_k_mape), _fmt(r.top_k_hit_rate)))
+        print(f"{name:<10} gini={r.normalized_gini:.4f} mape@{args.k:g}={r.top_k_mape:.4f} "
+              f"hit@{args.k:g}={r.top_k_hit_rate:.4f}")
 
     header = ["model", "normalized_gini", "top_k_mape", "top_k_hit_rate"]
     datamod.write_csv(out.path(args.out), header, rows)

@@ -1,9 +1,9 @@
 """Synthetic zero-inflated spend data, staged output files, CSV ingestion,
 split, and feature standardization.
 
-Every command standardizes in place: train its fresh train split, compare
-also its test split, predict and sweep-trials the dataset they loaded.
-standardize returns standardized copies of both splits for library use.
+Every command standardizes in place with standardize_in_place: train its
+fresh train split, compare also its test split, predict and sweep-trials
+the dataset they loaded. standardize runs it on copies, for library use.
 
 Labels are raw currency amounts over the prediction horizon; every log
 transform lives at the loss/metrics boundary, never in storage. The
@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .losses import _sigmoid
-from .numcore import NumericError, RngStream, ensure_finite, from_json
+from .numcore import NumericError, RngStream, ensure_finite
 
 # Generator shape constants: propensity slope, amount location offset and
 # slope per unit of latent score.
@@ -106,8 +106,6 @@ class SynthConfig:
         if self.noise_sigma <= 0:
             raise ValueError("noise_sigma must be > 0")
 
-    from_dict = classmethod(from_json)
-
 
 def latent_score(x: np.ndarray) -> np.ndarray:
     """Nonlinear mix of a small feature subset; drives both the purchase
@@ -136,7 +134,8 @@ def _calibrate_intercept(score, target_rate):
 def generate_synthetic(cfg: SynthConfig) -> Dataset:
     """Zero-inflated spend sample: standard-normal features, Bernoulli
     purchase with calibrated positive rate 1 - zero_inflation, lognormal
-    positive amounts. Deterministic given the seed."""
+    positive amounts. Deterministic given the seed. A noise_sigma so large
+    that an amount overflows a double is a ValueError naming it."""
     root = RngStream(cfg.master_seed, "synth")
     x = root.child("features").normal(cfg.n * cfg.dim).reshape(cfg.n, cfg.dim)
     score = latent_score(x)
@@ -150,7 +149,10 @@ def generate_synthetic(cfg: SynthConfig) -> Dataset:
         p = _sigmoid(_PROPENSITY_SLOPE * score + b)
         indicator = (root.child("purchase").uniform(cfg.n) < p).astype(np.float64)
     noise = root.child("amount").normal(cfg.n)
-    amounts = np.exp(_AMOUNT_MU0 + _AMOUNT_MU1 * score + cfg.noise_sigma * noise)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is checked next
+        amounts = np.exp(_AMOUNT_MU0 + _AMOUNT_MU1 * score + cfg.noise_sigma * noise)
+    if not np.isfinite(amounts).all():
+        raise ValueError(f"noise_sigma {cfg.noise_sigma!r} is so large that a spend amount overflows")
     labels = indicator * amounts
     ids = [f"u{i:07d}" for i in range(cfg.n)]
     return Dataset(ids=ids, features=x, labels=labels)
@@ -434,10 +436,12 @@ def standardize(train: Dataset, test: Dataset):
 
 
 def standardize_in_place(data: Dataset, mean=None, std=None):
-    """Standardize data.features in place with mean and std (by default its
-    own, fitted per feature) and set them as data.norm_mean/norm_std.
-    Fitted zero-variance features pass through unscaled and uncentered. A
-    fitted mean or std that overflows is a ValueError naming its feature."""
+    """Standardize data.features in place, x -= mean; x /= std (the IEEE
+    operations of (x - mean) / std on a copy), with mean and std by default
+    fitted per feature, and set them as data.norm_mean/norm_std. Fitted
+    zero-variance features pass through unscaled and uncentered. An
+    overflowing fitted mean or std, or the first standardized value that is
+    not finite, is a ValueError naming its feature (and the value's id)."""
     if mean is None:
         with np.errstate(over="ignore", invalid="ignore"):
             mean = data.features.mean(axis=0)
@@ -448,22 +452,11 @@ def standardize_in_place(data: Dataset, mean=None, std=None):
         constant = std < _ZERO_VAR_EPS
         mean = np.where(constant, 0.0, mean)
         std = np.where(constant, 1.0, std)
-    apply_standardization(data.features, mean, std, data.ids)
-    data.norm_mean, data.norm_std = mean, std
-
-
-def apply_standardization(features, mean, std, ids=None):
-    """Standardize the float64 matrix features in place, x -= mean; x /= std,
-    and return it: the same IEEE operations, element by element, as
-    (features - mean) / std on a copy. Every command standardizes this way.
-    The first result that is not finite is a ValueError naming its feature
-    and its row: the row's id from ids, or else its index."""
     with np.errstate(over="ignore", invalid="ignore"):
-        np.divide(np.subtract(features, mean, out=features), std, out=features)
+        np.divide(np.subtract(data.features, mean, out=data.features), std, out=data.features)
     try:
-        ensure_finite(features, "standardized features")
+        ensure_finite(data.features, "standardized features")
     except NumericError:
-        i, j = np.argwhere(~np.isfinite(features))[0]
-        row = f"id {ids[i]!r}" if ids is not None else f"row {i}"
-        raise ValueError(f"{row}: feature f{j} is not finite once standardized") from None
-    return features
+        i, j = np.argwhere(~np.isfinite(data.features))[0]
+        raise ValueError(f"id {data.ids[i]!r}: feature f{j} is not finite once standardized") from None
+    data.norm_mean, data.norm_std = mean, std

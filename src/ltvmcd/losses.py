@@ -112,6 +112,7 @@ def ziln_loss(head, labels_raw) -> LossValue:
     return LossValue(value, grad)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflow fails the finite check
 def ziln_predict(head) -> np.ndarray:
     """Expected raw amount per sample: sigmoid(logit) * exp(mu + sigma^2/2)."""
     logit, mu, _, sigma, _ = _ziln_parts(head)

@@ -13,7 +13,7 @@ predictor as degenerate rather than read meaning into that number.
 """
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -176,9 +176,6 @@ class MetricsReport:
                 raise ValueError("curve z values must be strictly increasing")
             if any(not 0.0 <= acc <= 1.0 for _, acc in self.confidence_curve):
                 raise NumericError("curve accuracy outside [0, 1]")
-
-    def to_dict(self):
-        return asdict(self)
 
 
 def build_report(preds_raw, labels_raw, k=0.05, summaries=None,

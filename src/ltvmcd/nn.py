@@ -53,10 +53,6 @@ class Dense:
             raise ShapeError("dense expects w (out, in) and b (out,)")
 
     @property
-    def in_dim(self):
-        return self.w.shape[1]
-
-    @property
     def out_dim(self):
         return self.w.shape[0]
 
@@ -311,6 +307,18 @@ def _check_dims(dims):
             raise ValueError(f"layer dims must be positive, got {dims}")
 
 
+def _hidden_layers(prev, dims, dropout_p, root, label):
+    """[dense -> relu -> dropout] per entry of dims on prev inputs, dense i
+    drawn from root's stream f"{label}{i}"; returns (layers, last width)."""
+    layers = []
+    for i, h in enumerate(dims):
+        h = int(h)
+        layers += [Dense(_he_uniform(h, prev, root.child(f"{label}{i}")), np.zeros(h)),
+                   Relu(), Dropout(dropout_p)]
+        prev = h
+    return layers, prev
+
+
 def build_mlp(input_dim, hidden_dims, dropout_p, out_dim=1, seed=0):
     """[dense -> relu -> dropout] per hidden dim, then a final dense.
 
@@ -319,14 +327,7 @@ def build_mlp(input_dim, hidden_dims, dropout_p, out_dim=1, seed=0):
     """
     _check_dims([input_dim, out_dim, *hidden_dims])
     root = RngStream(seed, "init")
-    stack = []
-    prev = int(input_dim)
-    for i, h in enumerate(hidden_dims):
-        h = int(h)
-        stack.append(Dense(_he_uniform(h, prev, root.child(f"dense{i}")), np.zeros(h)))
-        stack.append(Relu())
-        stack.append(Dropout(dropout_p))
-        prev = h
+    stack, prev = _hidden_layers(int(input_dim), hidden_dims, dropout_p, root, "dense")
     stack.append(Dense(_he_uniform(out_dim, prev, root.child(f"dense{len(hidden_dims)}")), np.zeros(out_dim)))
     return Network("mlp", input_dim, stack=stack)
 
@@ -345,16 +346,8 @@ def build_dcnv2(input_dim, n_cross, deep_dims, dropout_p, out_dim=1, seed=0):
         Cross(_he_uniform(d, d, root.child(f"cross{i}")), np.zeros(d))
         for i in range(n_cross)
     ]
-    deep = []
-    prev = d
-    for i, h in enumerate(deep_dims):
-        h = int(h)
-        deep.append(Dense(_he_uniform(h, prev, root.child(f"deep{i}")), np.zeros(h)))
-        deep.append(Relu())
-        deep.append(Dropout(dropout_p))
-        prev = h
-    head_in = d + prev
-    head = Dense(_he_uniform(out_dim, head_in, root.child("head")), np.zeros(out_dim))
+    deep, prev = _hidden_layers(d, deep_dims, dropout_p, root, "deep")
+    head = Dense(_he_uniform(out_dim, d + prev, root.child("head")), np.zeros(out_dim))
     return Network("dcnv2", input_dim, cross=cross, deep=deep, head=head)
 
 
@@ -396,12 +389,23 @@ def _layer_doc(layer):
     return doc
 
 
-def _layer_from_doc(doc, kinds):
+def _layer_from_doc(doc, kinds, name):
     kind = doc["kind"]
     if kind not in kinds:
         raise ValueError(f"layer kind {kind!r} is not one of {kinds}")
     cls, fields = _LAYERS[kind]
-    return cls(*(doc[field] for field in fields))
+    return cls(*(_numbers(doc[field], f"{name}.{field}") for field in fields))
+
+
+def _numbers(value, key):
+    """value if it is a number or nested lists of numbers (true and false
+    are not numbers); else ValueError naming key."""
+    for item in value if isinstance(value, list) else [value]:
+        if isinstance(item, list):
+            _numbers(item, key)
+        elif type(item) not in (int, float):
+            raise ValueError(f"{key} must be a number, got {numcore._json_text(item)}")
+    return value
 
 
 def save_checkpoint(path, ckpt: Checkpoint):
@@ -430,12 +434,14 @@ def save_checkpoint(path, ckpt: Checkpoint):
 
 def load_checkpoint(path) -> Checkpoint:
     """Read a checkpoint written by save_checkpoint. Malformed content
-    (bad or too deeply nested JSON, a missing or mistyped key, an unknown
-    arch or layer kind, layer widths that do not chain, a head width that
-    does not fit the loss, a weight, bias or norm mean that is not finite,
-    a norm std that is not finite and > 0, a norm vector whose length is
-    not input_dim) raises ValueError naming the path and, for a bad
-    number, its key."""
+    (bad or too deeply nested JSON, a missing or mistyped key, a version
+    other than the integer 1, an input_dim that is not an integer, a
+    dropout rate or a weight, bias or norm entry that is not a number, an
+    unknown arch or layer kind, layer widths that do not chain, a head
+    width that does not fit the loss, a weight, bias or norm mean that is
+    not finite, a norm std that is not finite and > 0, a norm vector whose
+    length is not input_dim) raises ValueError naming the path and, for a
+    bad value, its key."""
     try:
         with open(path) as f:
             return _checkpoint_from_doc(json.load(f))
@@ -448,7 +454,7 @@ def load_checkpoint(path) -> Checkpoint:
 def _checkpoint_from_doc(doc):
     if not isinstance(doc, dict) or doc.get("format") != CHECKPOINT_FORMAT:
         raise ValueError(f"not a {CHECKPOINT_FORMAT} file")
-    if doc.get("version") != CHECKPOINT_VERSION:
+    if type(doc.get("version")) is not int or doc["version"] != CHECKPOINT_VERSION:
         raise ValueError(f"unsupported checkpoint version {doc.get('version')}")
     arch = doc["arch"]
     if not isinstance(arch, str) or arch not in _ARCH_GROUPS:
@@ -456,10 +462,10 @@ def _checkpoint_from_doc(doc):
     groups = {}
     for group, kinds in _ARCH_GROUPS[arch].items():
         if group == "head":
-            groups[group] = _layer_from_doc(doc[group], kinds)
+            groups[group] = _layer_from_doc(doc[group], kinds, group)
         else:
-            groups[group] = [_layer_from_doc(d, kinds) for d in doc[group]]
-    net = Network(arch, doc["input_dim"], **groups)
+            groups[group] = [_layer_from_doc(d, kinds, f"{group}[{i}]") for i, d in enumerate(doc[group])]
+    net = Network(arch, numcore._typed_value(int, doc["input_dim"], "input_dim"), **groups)
     for name, p in net.named_params():
         if not np.isfinite(p).all():
             raise ValueError(f"{name} must be finite")
@@ -473,7 +479,7 @@ def _checkpoint_from_doc(doc):
                          f"which needs {width}")
     norm = doc.get("norm")
     if norm is not None:
-        norm = (np.asarray(norm["mean"], dtype=np.float64), np.asarray(norm["std"], dtype=np.float64))
+        norm = tuple(np.asarray(_numbers(norm[k], f"norm.{k}"), dtype=np.float64) for k in ("mean", "std"))
         if norm[0].shape != (net.input_dim,) or norm[1].shape != (net.input_dim,):
             raise ValueError(f"norm vectors must have length input_dim={net.input_dim}")
         if not np.isfinite(norm[0]).all():

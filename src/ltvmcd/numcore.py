@@ -119,11 +119,9 @@ class AdamState:
     v: list = field(default_factory=list)
 
     @classmethod
-    def for_params(cls, params, learning_rate=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
-        state = cls(learning_rate, beta1, beta2, eps)
-        state.m = [np.zeros_like(p) for p in params]
-        state.v = [np.zeros_like(p) for p in params]
-        return state
+    def for_params(cls, params, **hyper):
+        """Zeroed accumulators for params; hyper sets any field above."""
+        return cls(**hyper, m=[np.zeros_like(p) for p in params], v=[np.zeros_like(p) for p in params])
 
 
 def adam_step(state: AdamState, params, grads):

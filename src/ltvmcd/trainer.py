@@ -1,13 +1,13 @@
 """Mini-batch training loop and the finite-difference gradient checker."""
 
 import math
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import losses
 from .mcd import _blocks
-from .numcore import AdamState, NumericError, RngStream, ShapeError, adam_step, from_json
+from .numcore import AdamState, NumericError, RngStream, ShapeError, adam_step
 
 
 @dataclass
@@ -40,11 +40,6 @@ class TrainConfig:
         if self.patience is not None and self.patience < 1:
             raise ValueError("patience must be >= 1 or None")
         losses.loss_fn(self.loss)  # validates the name
-
-    from_dict = classmethod(from_json)
-
-    def to_dict(self):
-        return asdict(self)
 
 
 def train(net, data, cfg: TrainConfig):
@@ -79,7 +74,8 @@ def train(net, data, cfg: TrainConfig):
     y_va = data.labels[val_idx]
 
     params = net.params()
-    state = AdamState.for_params(params, cfg.learning_rate, cfg.beta1, cfg.beta2, cfg.eps)
+    state = AdamState.for_params(params, learning_rate=cfg.learning_rate, beta1=cfg.beta1,
+                                 beta2=cfg.beta2, eps=cfg.eps)
     drop_rng = RngStream(cfg.master_seed, "train/dropout")
 
     history = []

@@ -62,8 +62,8 @@ class TestTrain:
     def test_checkpoint_loads_and_evals(self, ws):
         ckpt = nn.load_checkpoint(ws / "model.ckpt")
         test = data.load_csv(ws / "test.csv")
-        feats = data.apply_standardization(test.features, *ckpt.norm)
-        out, _ = ckpt.network.forward(feats, "eval")
+        data.standardize_in_place(test, *ckpt.norm)
+        out, _ = ckpt.network.forward(test.features, "eval")
         assert out.shape == (test.n, 1)
         assert np.all(np.isfinite(out))
 

@@ -1,11 +1,12 @@
 """Bad command-line inputs end in exit 1 with one `ltvmcd: error:` line and
 no output file, never in a traceback or a silently different run: every
 JSON config value goes through numcore.from_json, which checks it against
-its dataclass field's annotation. Also: predict refuses a mean whose
-expm1 overflows, JSON nested too deeply is an error naming the file, a
-MemoryError is one line, a trial count too large fails at its first
-array, a feature whose train-split std overflows and an overflow inside
-a network are one line with no numpy warning, --z-grid is bounded, and
+its dataclass field's annotation. Also: predict, sweep-trials and compare
+refuse a mean whose expm1 overflows, JSON nested too deeply is an error
+naming the file, a MemoryError is one line, a trial count too large fails
+at its first array, a feature whose train-split std overflows, a ZILN
+prediction or gen-data amount that overflows and an overflow inside a
+network are one line with no numpy warning, --z-grid is bounded, and
 the manifest records the resolved settings."""
 
 import contextlib
@@ -179,6 +180,61 @@ def test_predict_names_the_first_id_whose_mean_overflows_expm1(ws, capsys):
     assert "overflows expm1" in line
 
 
+# -- sweep-trials, compare, ZILN and gen-data: an overflow is one line -------
+
+def out_of_range(net, ziln=False):
+    """net, its last layer set to give 800 as every log-space mean (ZILN:
+    mu 800 with logit and scale 0), whose exp overflows a double."""
+    net.params()[-2][:] = 0.0
+    net.params()[-1][:] = [0.0, 800.0, 0.0] if ziln else 800.0
+    return net
+
+
+def test_sweep_names_the_first_id_whose_mean_overflows_expm1(ws, capsys):
+    ds = small_dataset()
+    nn.save_checkpoint(ws / "m.ckpt", nn.Checkpoint(network=out_of_range(nn.build_mlp(3, [4], 0.0))))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        line = fails_cleanly(capsys, ws, "sweep-trials", "--model", ws / "m.ckpt", "--data",
+                             ws / "d.csv", "--grid", "1,2", "--reps", 1, "--out", ws / "s.csv")
+    assert line == (f"ltvmcd: error: id {ds.ids[0]!r}: mean 800.0 overflows expm1; "
+                    "the model's predictions are out of range")
+
+
+def test_compare_names_the_first_id_whose_mean_overflows_expm1(ws, capsys, monkeypatch):
+    ds = small_dataset()
+    _, test = data.split(ds, 0.8, 0)
+    monkeypatch.setattr(cli.trainer, "train", lambda net, *_: (out_of_range(net), []))
+    (ws / "c.json").write_text(json.dumps({"model": {"hidden_dims": [4], "dropout": 0.0}}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        line = fails_cleanly(capsys, ws, "compare", "--data", ws / "d.csv", "--config", ws / "c.json",
+                             "--trials", 2, "--k", 0.5, "--out", ws / "c.csv")
+    assert line == (f"ltvmcd: error: id {test.ids[0]!r}: mean 800.0 overflows expm1; "
+                    "the model's predictions are out of range")
+
+
+@pytest.mark.parametrize("command", ["predict", "sweep-trials"])
+def test_a_ziln_prediction_that_overflows_is_one_line(ws, capsys, command):
+    net = out_of_range(nn.build_mlp(3, [4], 0.3, out_dim=3, seed=2), ziln=True)
+    nn.save_checkpoint(ws / "m.ckpt", nn.Checkpoint(network=net, loss_kind="ziln"))
+    extra = ["--trials", 2] if command == "predict" else ["--grid", "1,2", "--reps", 1]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        line = fails_cleanly(capsys, ws, command, "--model", ws / "m.ckpt",
+                             "--data", ws / "d.csv", *extra, "--out", ws / "p.csv")
+    assert line == "ltvmcd: error: ziln prediction contains NaN or Inf"
+
+
+def test_a_noise_sigma_whose_amounts_overflow_is_one_line(tmp_path, capsys):
+    (tmp_path / "s.json").write_text(json.dumps({"n": 50, "dim": 2, "noise_sigma": 1000}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        line = fails_cleanly(capsys, tmp_path, "gen-data", "--config", tmp_path / "s.json",
+                             "--out", tmp_path / "d.csv")
+    assert line == "ltvmcd: error: noise_sigma 1000.0 is so large that a spend amount overflows"
+
+
 # -- predict and sweep-trials: MCD moments that are not finite --------------
 
 @pytest.mark.parametrize("command", ["predict", "sweep-trials"])
@@ -318,7 +374,7 @@ def test_from_json_names_the_dotted_path_of_a_bad_value(doc, message):
 
 def test_from_json_prefixes_a_range_check_with_the_path_of_its_object():
     with pytest.raises(ValueError, match=r"^config: n must be >= 1$"):
-        data.SynthConfig.from_dict({"n": 0, "dim": 1})
+        from_json(data.SynthConfig, {"n": 0, "dim": 1})
     with pytest.raises(ValueError, match=r"^config\.train: epochs must be >= 1$"):
         from_json(cli.TrainFile, {"train": {"epochs": 0}})
 

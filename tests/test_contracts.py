@@ -122,6 +122,27 @@ def short_norm(doc):
                  "head width 3 does not fit loss 'log_mse'", id="ziln_head_as_log_mse"),
     pytest.param(lambda doc: [row.pop() for row in doc["stack"][0]["w"]],
                  "matmul shape mismatch", id="dropped_weight_column"),
+    # a value of the wrong JSON type, which a float() or int() would accept
+    pytest.param(lambda doc: doc.update(input_dim=3.9), "input_dim must be an integer, got 3.9",
+                 id="input_dim_float"),
+    pytest.param(lambda doc: doc.update(input_dim="3"), 'input_dim must be an integer, got "3"',
+                 id="input_dim_string"),
+    pytest.param(lambda doc: doc.update(version=True), "unsupported checkpoint version True",
+                 id="version_bool"),
+    pytest.param(lambda doc: doc.update(version=1.0), "unsupported checkpoint version 1.0",
+                 id="version_float"),
+    pytest.param(lambda doc: doc["stack"][2].update(p=False), "stack[2].p must be a number, got false",
+                 id="dropout_p_bool"),
+    pytest.param(lambda doc: doc["stack"][0]["w"][0].__setitem__(1, "0.1"),
+                 'stack[0].w must be a number, got "0.1"', id="weight_string"),
+    pytest.param(lambda doc: doc["stack"][0]["w"][1].__setitem__(0, True),
+                 "stack[0].w must be a number, got true", id="weight_bool"),
+    pytest.param(lambda doc: doc["stack"][3]["b"].__setitem__(0, "0"),
+                 'stack[3].b must be a number, got "0"', id="bias_string"),
+    pytest.param(lambda doc: doc["norm"]["mean"].__setitem__(2, "0.0"),
+                 'norm.mean must be a number, got "0.0"', id="norm_mean_string"),
+    pytest.param(lambda doc: doc["norm"]["std"].__setitem__(0, "1"),
+                 'norm.std must be a number, got "1"', id="norm_std_string"),
 ])
 def test_malformed_checkpoint_exits_1(tmp_path, capsys, breakage, needle):
     doc = json.loads(json.dumps(DOCS["mlp"]))

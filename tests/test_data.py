@@ -3,7 +3,7 @@ import pytest
 from scipy import stats
 
 from ltvmcd import data
-from ltvmcd.numcore import NumericError
+from ltvmcd.numcore import NumericError, from_json
 
 
 class TestSynthConfig:
@@ -19,7 +19,7 @@ class TestSynthConfig:
 
     def test_from_dict_rejects_unknown(self):
         with pytest.raises(ValueError):
-            data.SynthConfig.from_dict({"n": 10, "dim": 4, "rows": 5})
+            from_json(data.SynthConfig, {"n": 10, "dim": 4, "rows": 5})
 
 
 class TestGenerateSynthetic:

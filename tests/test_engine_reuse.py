@@ -30,7 +30,7 @@ def per_t_rows(ckpt, ds, grid, reps, seed, k, batch_size):
         for rep in range(reps):
             cfg = McdConfig(trials=t, master_seed=seed + rep, batch_size=batch_size)
             result = mcd_predict(ckpt.network, ds, cfg, loss_kind=ckpt.loss_kind)
-            raw = cli._raw_space(ckpt.loss_kind, result.mean)
+            raw = cli._raw_space(ckpt.loss_kind, result.mean, result.ids)
             ginis.append(metrics.normalized_gini(raw, ds.labels))
             mapes.append(metrics.top_k_mape(raw, ds.labels, k))
         stats = (*cli._mean_std(ginis), *cli._mean_std(mapes))

@@ -1,10 +1,12 @@
-"""One standardization path: apply_standardization overwrites the array it
-is given, and predict and sweep-trials standardize the dataset load_csv
-built rather than a copy. Also: MetricsReport.to_dict writes the bytes of
-the field-by-field dict it replaced."""
+"""One standardization path: standardize_in_place overwrites the features
+array of the dataset it is given, and predict and sweep-trials standardize
+the dataset load_csv built rather than a copy. Also: report.json, written
+as dataclasses.asdict(report), keeps the bytes of the field-by-field dict
+it replaced."""
 
 import argparse
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -19,7 +21,8 @@ def test_apply_standardization_overwrites_and_returns_its_input():
     mean, std = np.array([0.5, -1.0, 0.0, 2.0]), np.array([0.3, 1.0, 2.5, 7.0])
     expected = (ds.features.copy() - mean) / std
     feats = ds.features
-    assert data.apply_standardization(feats, mean, std, ds.ids) is feats
+    data.standardize_in_place(ds, mean, std)
+    assert ds.features is feats
     assert feats.tobytes() == expected.tobytes()
 
 
@@ -53,7 +56,7 @@ def test_prepare_inference_standardizes_the_loaded_dataset(tmp_path, monkeypatch
 
 
 def hand_built(report):
-    """MetricsReport.to_dict as it was, field by field."""
+    """The report's JSON document as it was once built, field by field."""
     curve = None
     if report.confidence_curve is not None:
         curve = [[z, acc] for z, acc in report.confidence_curve]
@@ -72,4 +75,4 @@ def test_report_json_keeps_its_bytes(with_curve):
                  "labels_model_space": labels}
     report = metrics.build_report(preds, labels, k=0.5, **extra)
     assert (report.confidence_curve is None) != with_curve
-    assert json.dumps(report.to_dict(), indent=1) == json.dumps(hand_built(report), indent=1)
+    assert json.dumps(asdict(report), indent=1) == json.dumps(hand_built(report), indent=1)

@@ -1,4 +1,5 @@
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -213,7 +214,7 @@ class TestReport:
         assert report.normalized_gini == metrics.normalized_gini(preds, labels)
         assert report.top_k_mape == metrics.top_k_mape(preds, labels, 0.5)
         assert report.top_k_hit_rate == metrics.top_k_hit_rate(preds, labels, 0.5)
-        d = report.to_dict()
+        d = asdict(report)
         assert d["n"] == 6 and len(d["confidence_curve"]) == 21
 
     def test_curve_requires_model_space_labels(self):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -210,6 +212,47 @@ class TestNetwork:
         net = nn.build_mlp(4, [3], 0.0)
         with pytest.raises(ShapeError):
             net.forward(np.zeros((2, 5)), "eval")
+
+
+def he_uniform(seed, label, out_dim, in_dim):
+    """The weight a builder draws from stream init/<label>: (2u - 1)·sqrt(6/in)."""
+    u = RngStream(seed, f"init/{label}").uniform(out_dim * in_dim).reshape(out_dim, in_dim)
+    return (2.0 * u - 1.0) * math.sqrt(6.0 / in_dim)
+
+
+def assert_drawn(layers, expected):
+    """Each layer's weight is he_uniform(7, label, out, in) to the bit, and
+    its bias is out zeros, for expected (label, out, in) in layer order."""
+    assert len(layers) == len(expected)
+    for layer, (label, out_dim, in_dim) in zip(layers, expected):
+        assert layer.w.tobytes() == he_uniform(7, label, out_dim, in_dim).tobytes(), label
+        assert layer.b.shape == (out_dim,) and not layer.b.any(), label
+
+
+class TestInitStreams:
+    """Every weight comes from the stream its builder labels it with, which
+    every checkpoint and digest of a trained model depends on."""
+
+    @pytest.mark.parametrize("hidden", [[], [5, 3]])
+    def test_mlp_dense_weights(self, hidden):
+        net = nn.build_mlp(4, hidden, 0.25, out_dim=2, seed=7)
+        assert [l.kind for l in net.stack] == ["dense", "relu", "dropout"] * len(hidden) + ["dense"]
+        assert all(l.p == 0.25 for l in net.stack if l.kind == "dropout")
+        widths = [4, *hidden, 2]
+        assert_drawn(net.stack[::3], [(f"dense{i}", widths[i + 1], widths[i])
+                                      for i in range(len(widths) - 1)])
+
+    @pytest.mark.parametrize("n_cross", [0, 2])
+    @pytest.mark.parametrize("deep", [[], [5, 3]])
+    def test_dcnv2_cross_deep_and_head_weights(self, n_cross, deep):
+        net = nn.build_dcnv2(4, n_cross, deep, 0.25, out_dim=2, seed=7)
+        assert [l.kind for l in net.deep] == ["dense", "relu", "dropout"] * len(deep)
+        assert all(l.p == 0.25 for l in net.deep if l.kind == "dropout")
+        widths = [4, *deep]
+        assert_drawn(net.cross, [(f"cross{i}", 4, 4) for i in range(n_cross)])
+        assert_drawn(net.deep[::3], [(f"deep{i}", widths[i + 1], widths[i])
+                                     for i in range(len(deep))])
+        assert_drawn([net.head], [("head", 2, 4 + widths[-1])])
 
 
 class TestCheckpoint:

@@ -1,11 +1,12 @@
 import tracemalloc
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
 from ltvmcd import losses, nn, trainer
 from ltvmcd.data import Dataset
-from ltvmcd.numcore import RngStream
+from ltvmcd.numcore import RngStream, from_json
 
 
 def linear_log_task(n=256, d=4, seed=0):
@@ -19,11 +20,11 @@ def linear_log_task(n=256, d=4, seed=0):
 class TestTrainConfig:
     def test_defaults_round_trip(self):
         cfg = trainer.TrainConfig()
-        assert trainer.TrainConfig.from_dict(cfg.to_dict()) == cfg
+        assert from_json(trainer.TrainConfig, asdict(cfg)) == cfg
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ValueError):
-            trainer.TrainConfig.from_dict({"epochs": 3, "momentum": 0.9})
+            from_json(trainer.TrainConfig, {"epochs": 3, "momentum": 0.9})
 
     def test_bad_values_rejected(self):
         with pytest.raises(ValueError):
