@@ -432,8 +432,8 @@ def cmd_compare(args, out):
     return {**config, "trials": args.trials, "k": args.k}, seed
 
 
-BATCH_HELP = (f"rows per forward pass (0 = blocks of {BLOCK_ROWS} rows, the last one "
-              "also taking the remainder)")
+BATCH_HELP = (f"rows per forward pass (0 = blocks of {BLOCK_ROWS} rows, a remainder of "
+              f"fewer than {BLOCK_ROWS // 2} joining the last one)")
 
 
 def build_parser():

@@ -1,22 +1,33 @@
 """Monte Carlo dropout inference: repeated stochastic forward passes and
 per-sample summary statistics.
 
-Trial j draws its dropout masks from a stream labeled "mcd/{j}" under the
-run's master seed, so any trial can be replayed in isolation: one mask
-per layer per trial, shared across all samples. The rows run in blocks,
-outermost, with the T trials inside each block. Each trial's stream is
-built once per call; the first block draws from it, and every later
-block replays those draws, so all blocks see the masks a new stream with
-that label would give, regardless of inference batching. With
-batch_size 0 the blocks hold BLOCK_ROWS rows, and the last one also
-takes the remainder: on the BLAS this was built against, such blocks
-reproduce the whole-batch pass bit for bit, while a short tail block
-does not. Trial j's stream does not depend on T either, so the first t
-trials of a run at T >= t are the trials of the run at T = t: one call
-with at= answers several trial counts from one block loop, and
-sweep-trials pays for max(grid) trials per rep, not for the sum of its
-grid. The part of a pass no dropout acts on (Network.shared_part: a
-DCNv2's cross branch) is computed once per block for its T passes to read.
+Trial j draws its dropout masks from a stream labeled "mcd/{j}" under
+the run's master seed, so any trial can be replayed in isolation: one
+mask per layer per trial, shared across all samples. The rows run in
+blocks, outermost, with the T trials inside each block. Each trial's
+stream is built once per call; the first block draws from it, and every
+later block replays those draws, so all blocks see the masks a new
+stream with that label would give, regardless of inference batching.
+With batch_size 0 the blocks start at multiples of BLOCK_ROWS and hold
+BLOCK_ROWS rows, and a remainder of BLOCK_ROWS // 2 rows or more is a
+block of its own, while a shorter one joins the last block: on the BLAS
+this was built against, such blocks reproduce the whole-batch pass bit
+for bit, while a shorter tail block or an unaligned start does not.
+Trial j's stream does not depend on T either, so the first t trials of a
+run at T >= t are the trials of the run at T = t: one call with at=
+answers several trial counts from one block loop, and sweep-trials pays
+for max(grid) trials per rep, not for the sum of its grid. The part of a
+pass no dropout acts on (Network.shared_part: a DCNv2's cross branch) is
+computed once per block for its T passes to read.
+
+A block's passes run on every CPU of the process's affinity mask: the
+calling thread and one helper thread per further CPU (at most T - 1)
+each take the lowest trial not yet taken. Trial j writes only column j
+of the block and replays only its own draws, and the block's moments are
+taken once all of its passes are done, so the worker count changes no
+output bit and no error. With one CPU no thread starts. The BLAS is
+best pinned to one thread, or the workers' BLAS threads oversubscribe
+the CPUs.
 
 The result holds, as columns, the mean and sample standard deviation of
 each sample's trial vector in the model's output space. For log-MSE
@@ -30,6 +41,8 @@ either way. A mean or std that is not finite is an error naming its
 sample.
 """
 
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,9 +50,10 @@ import numpy as np
 from . import losses
 from .numcore import NumericError, RngStream, ShapeError
 
-# Rows per inference block when batch_size is 0. The last block also takes
-# the remainder, so no block is shorter: that, not speed, is what keeps
-# the bits of the whole-batch pass.
+# Rows per inference block when batch_size is 0. A remainder of fewer than
+# BLOCK_ROWS // 2 rows joins the last block, so no block is shorter than
+# that (unless all rows are): that, not speed, is what keeps the bits of
+# the whole-batch pass.
 BLOCK_ROWS = 1024
 
 
@@ -47,7 +61,7 @@ BLOCK_ROWS = 1024
 class McdConfig:
     trials: int
     master_seed: int = 0
-    batch_size: int = 0  # rows per inference pass; 0 means blocks of BLOCK_ROWS or more
+    batch_size: int = 0  # rows per inference pass; 0 means blocks of about BLOCK_ROWS
 
     def __post_init__(self):
         if self.trials < 1:
@@ -125,8 +139,10 @@ def mcd_predict(net, data, cfg: McdConfig, loss_kind="log_mse", keep_trials=Fals
     columns. A network without active dropout short-circuits to one eval
     pass per block: every trial would return the identical output, whose
     exact mean is that output itself, with zero spread. Raises
-    NumericError naming the first sample whose mean or std is not finite.
-    Deterministic given (model, data, seed, T).
+    NumericError naming the first sample whose mean or std is not finite;
+    a pass that raises ends the call with the error a serial loop over
+    the blocks and trials would raise first. Deterministic given (model,
+    data, seed, T), whatever the number of CPUs.
     """
     x = data.features
     if x.shape[1] != net.input_dim:
@@ -139,21 +155,26 @@ def mcd_predict(net, data, cfg: McdConfig, loss_kind="log_mse", keep_trials=Fals
     mode, passes = ("mc_sample", cfg.trials) if stochastic else ("eval", 1)
     blocks = _blocks(n, cfg.batch_size)
     # the arrays before the per-trial lists, so a T too large fails at once
-    buffer = np.empty((max(stop - start for start, stop in blocks), passes))
+    buffer = np.empty((max((stop - start for start, stop in blocks), default=0), passes))
     trials = np.empty((n, cfg.trials)) if keep_trials else None
     moments = [(np.empty(n), np.empty(n)) for _ in counts]
     kept = [[] for _ in range(passes)]  # trial j's uniform draws, in order
     shared_part = getattr(net, "shared_part", lambda rows: None)
+    workers = _workers(passes)
     for b, (start, stop) in enumerate(blocks):
-        block = buffer[: stop - start]
-        shared = shared_part(x[start:stop])
+        rows, block = x[start:stop], buffer[: stop - start]
+        shared = shared_part(rows)
         extra = {} if shared is None else {"shared": shared}
-        for j in range(passes):
+
+        def run(j):  # trial j's pass over this block, done before the next block
             rng = None
             if stochastic:
-                rng = _Draws(kept[j], RngStream(cfg.master_seed, f"mcd/{j}") if b == 0 else None)
-            out, _ = net.forward(x[start:stop], mode, rng, **extra)
+                stream = RngStream(cfg.master_seed, f"mcd/{j}") if b == 0 else None
+                rng = _Draws(kept[j], stream)
+            out, _ = net.forward(rows, mode, rng, **extra)
             block[:, j] = _scalarize(loss_kind, out)
+
+        _deal(workers, passes, run)
         for t, (means, stds) in zip(counts, moments):
             means[start:stop], stds[start:stop] = _moments(np.ascontiguousarray(block[:, :t]))
         if keep_trials:
@@ -164,16 +185,66 @@ def mcd_predict(net, data, cfg: McdConfig, loss_kind="log_mse", keep_trials=Fals
     return results[0] if at is None else results
 
 
-def _blocks(n, batch_size):
+def _blocks(n, batch_size, shortest=BLOCK_ROWS // 2):
     """The (start, stop) row ranges of the inference passes: batch_size
-    rows each, the last one shorter if need be; or, for batch_size 0,
-    BLOCK_ROWS rows each with the remainder in the last, which keeps
-    n < 2 * BLOCK_ROWS in one block."""
+    rows each, the last one shorter if need be; or, for batch_size 0, a
+    block at every multiple of BLOCK_ROWS that has at least shortest rows
+    from it on, each running to the next. So a shorter remainder joins the
+    last block, and n < BLOCK_ROWS + shortest rows are one block. MCD
+    keeps the default, so that no block exceeds 1535 rows while several
+    passes are in flight. train's validation pass, one pass per block,
+    takes shortest=BLOCK_ROWS: with the default's tail blocks, the peak
+    RSS of the fit_mlp benchmark landed in its 58-61 MB mode instead of at
+    55 MB far more often (heap fragmentation)."""
     if batch_size > 0:
         starts = list(range(0, n, batch_size))
     else:
-        starts = list(range(0, max(n // BLOCK_ROWS, 1) * BLOCK_ROWS, BLOCK_ROWS))
+        starts = list(range(0, n - shortest + 1, BLOCK_ROWS)) or [0]
     return list(zip(starts, starts[1:] + [n]))
+
+
+def _workers(passes):
+    """The threads that run a block's passes: one per CPU this process may
+    run on, at most one per pass."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # a platform without affinity masks
+        cpus = os.cpu_count() or 1
+    return min(cpus, passes)
+
+
+def _deal(workers, passes, run):
+    """Call run(j) for every j < passes, on the calling thread and on
+    workers - 1 helper threads that live for this call only, each taking
+    the lowest j not yet taken. Once a call raises, no further call
+    starts; after every helper has returned, the error of the lowest
+    failing j is raised. Every lower j was taken before it and ran, so
+    that is the error a serial loop raises."""
+    lock = threading.Lock()
+    order = iter(range(passes))
+    errors = {}
+
+    def drain():
+        while not errors:
+            with lock:
+                j = next(order, None)
+            if j is None:
+                return
+            try:
+                run(j)
+            except BaseException as exc:  # raised on the calling thread below
+                errors[j] = exc
+
+    helpers = [threading.Thread(target=drain) for _ in range(workers - 1)]
+    for helper in helpers:
+        helper.start()
+    try:
+        drain()
+    finally:
+        for helper in helpers:
+            helper.join()
+    if errors:
+        raise errors[min(errors)]
 
 
 class _Draws:
@@ -181,8 +252,8 @@ class _Draws:
     takes its draws from the trial's new RngStream and appends them to
     kept; every later pass reads kept back in order, which is what a new
     stream with that label would give it. So a call builds one stream per
-    trial and holds one at a time. Dropout asks a stream for uniform()
-    only."""
+    trial and holds one per worker at a time. Dropout asks a stream for
+    uniform() only."""
 
     def __init__(self, kept, stream=None):
         self._kept = kept

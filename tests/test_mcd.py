@@ -1,4 +1,5 @@
 import math
+import threading
 import tracemalloc
 import warnings
 import weakref
@@ -36,7 +37,9 @@ class ScriptedNet:
 
 
 class TestMcdPredict:
-    def test_recorded_trials_two_and_four(self):
+    def test_recorded_trials_two_and_four(self, monkeypatch):
+        # the scripted values follow the call order, which is trial order on one worker
+        monkeypatch.setattr(mcd, "_workers", lambda passes: 1)
         ds = Dataset(["a"], np.zeros((1, 1)), np.zeros(1))
         net = ScriptedNet([2.0, 4.0])
         (s,) = mcd_predict(net, ds, McdConfig(trials=2), keep_trials=True)
@@ -144,10 +147,11 @@ def bench_shaped_net(arch, loss, dropout=0.2):
 
 class TestWholeDatasetBlocks:
     """With batch_size 0 the rows run in blocks of BLOCK_ROWS, the last one
-    holding the remainder; the trials must carry the bits of one
+    holding a remainder of BLOCK_ROWS // 2 rows or more on its own and
+    joining a shorter one; the trials must carry the bits of one
     whole-batch pass per trial."""
 
-    @pytest.mark.parametrize("n", [2048, 2049, 3071, 5157, 10000])
+    @pytest.mark.parametrize("n", [1535, 1536, 2048, 2049, 2559, 3071, 5157, 10000])
     @pytest.mark.parametrize("arch", ["mlp", "dcnv2"])
     @pytest.mark.parametrize("loss", ["log_mse", "ziln"])
     def test_blocks_give_the_bits_of_the_whole_batch(self, monkeypatch, n, arch, loss):
@@ -156,8 +160,9 @@ class TestWholeDatasetBlocks:
         ds = Dataset([f"u{i}" for i in range(n)], x, np.zeros(n))
         rows = pass_rows(monkeypatch)
         result = mcd_predict(net, ds, McdConfig(trials=5, master_seed=6), loss, keep_trials=True)
-        assert len(rows) == 5 * (n // BLOCK_ROWS)
-        assert min(rows) >= BLOCK_ROWS
+        assert sum(rows) == 5 * n
+        assert rows[:-5] == [BLOCK_ROWS] * (len(rows) - 5)
+        assert BLOCK_ROWS // 2 <= rows[-1] < BLOCK_ROWS + BLOCK_ROWS // 2
         for j in range(5):
             out, _ = net.forward(x, "mc_sample", RngStream(6, f"mcd/{j}"))
             whole = losses.ziln_predict(out) if loss == "ziln" else out[:, 0]
@@ -177,12 +182,31 @@ class TestWholeDatasetBlocks:
         out, _ = net.forward(x, "eval")
         assert result.mean.tobytes() == out[:, 0].tobytes()
 
-    @pytest.mark.parametrize("n", [0, 1, 1023, 2047])
+    @pytest.mark.parametrize("n", [0, 1, 1023, 1535])
     def test_fewer_than_two_blocks_of_rows_run_as_one(self, monkeypatch, n):
         net = nn.build_mlp(5, [8], 0.3, seed=2)
         rows = pass_rows(monkeypatch)
         mcd_predict(net, tiny_dataset(n=n), McdConfig(trials=3))
         assert rows == [n] * 3
+
+    TAILS = {1536: [1024, 512], 2047: [1024, 1023], 2559: [1024, 1535],
+             3584: [1024] * 3 + [512]}
+
+    @pytest.mark.parametrize("n", TAILS)
+    def test_a_tail_of_half_a_block_or_more_runs_alone(self, monkeypatch, n):
+        net = nn.build_mlp(5, [8], 0.3, seed=2)
+        rows = pass_rows(monkeypatch)
+        mcd_predict(net, tiny_dataset(n=n), McdConfig(trials=3))
+        assert rows == [size for size in self.TAILS[n] for _ in range(3)]
+
+    @pytest.mark.parametrize("batch_size", [0, 7])
+    def test_no_rows_give_an_empty_result_at_every_batch_size(self, batch_size):
+        net = nn.build_mlp(3, [4], 0.5)
+        ds = Dataset([], np.zeros((0, 3)), np.zeros(0))
+        result = mcd_predict(net, ds, McdConfig(trials=3, batch_size=batch_size),
+                             keep_trials=True)
+        assert result.ids == [] and result.trials.shape == (0, 3)
+        assert result.mean.shape == result.std.shape == result.n_trials.shape == (0,)
 
     def test_a_positive_batch_size_is_kept_row_for_row(self, monkeypatch):
         net = nn.build_mlp(5, [8], 0.3, seed=2)
@@ -270,9 +294,29 @@ def test_a_call_builds_one_stream_per_trial_and_holds_one_at_a_time(monkeypatch)
             alive.add(self)
 
     monkeypatch.setattr(mcd, "RngStream", Counted)
+    monkeypatch.setattr(mcd, "_workers", lambda passes: 1)
     net = nn.build_mlp(5, [8, 8], 0.3, seed=2)
     mcd_predict(net, tiny_dataset(n=23), McdConfig(trials=4, batch_size=7))
     assert made == [f"mcd/{j}" for j in range(4)]
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_workers_build_one_stream_per_trial_and_hold_one_each(monkeypatch, workers):
+    made, alive, lock = [], weakref.WeakSet(), threading.Lock()
+
+    class Counted(RngStream):
+        def __init__(self, master_seed, label):
+            super().__init__(master_seed, label)
+            with lock:
+                assert len(alive) < workers
+                made.append(label)
+                alive.add(self)
+
+    monkeypatch.setattr(mcd, "RngStream", Counted)
+    monkeypatch.setattr(mcd, "_workers", lambda passes: workers)
+    net = nn.build_mlp(5, [8, 8], 0.3, seed=2)
+    mcd_predict(net, tiny_dataset(n=23), McdConfig(trials=7, batch_size=7))
+    assert sorted(made) == sorted(f"mcd/{j}" for j in range(7))
 
 
 class TestConfidenceInterval:
