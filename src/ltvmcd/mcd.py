@@ -20,14 +20,16 @@ for max(grid) trials per rep, not for the sum of its grid. The part of a
 pass no dropout acts on (Network.shared_part: a DCNv2's cross branch) is
 computed once per block for its T passes to read.
 
-A block's passes run on every CPU of the process's affinity mask: the
-calling thread and one helper thread per further CPU (at most T - 1)
-each take the lowest trial not yet taken. Trial j writes only column j
-of the block and replays only its own draws, and the block's moments are
-taken once all of its passes are done, so the worker count changes no
-output bit and no error. With one CPU no thread starts. The BLAS is
-best pinned to one thread, or the workers' BLAS threads oversubscribe
-the CPUs.
+A block's passes run on the CPUs of the process's affinity mask, at
+most MAX_WORKERS of them: the calling thread and one helper thread per
+further CPU (at most T - 1) each take the lowest trial not yet taken. A
+block whose passes are short (under THREADED_MACS multiply-adds each)
+runs on the calling thread alone. Trial j writes only column j of the
+block and replays only its own draws, and the block's moments are taken
+once all of its passes are done, so the worker count changes no output
+bit and no error. With one CPU no thread starts. The BLAS is best
+pinned to one thread, or the workers' BLAS threads oversubscribe the
+CPUs.
 
 The result holds, as columns, the mean and sample standard deviation of
 each sample's trial vector in the model's output space. For log-MSE
@@ -55,6 +57,21 @@ from .numcore import NumericError, RngStream, ShapeError
 # that (unless all rows are): that, not speed, is what keeps the bits of
 # the whole-batch pass.
 BLOCK_ROWS = 1024
+
+# The most threads a block's passes run on: the count whose speed and peak
+# RSS were measured (a 2-CPU host). Each thread holds one pass's
+# activations, so a larger affinity mask runs no more until measured.
+MAX_WORKERS = 2
+
+# Multiply-adds of one pass (block rows x the network's weights) below which
+# a block's passes run on the calling thread alone. A short pass is mostly
+# GIL-bound Python between small numpy calls, so a second thread gains
+# little or loses. On that host, with the BLAS on one thread, two threads
+# were slower than one up to 1.5M per pass, gained nothing that held up at
+# about 3M (an MLP [128, 64, 32] on 256 rows; a DCNv2 with deep [64, 32] on
+# 1000, whose sweep_dcnv2 benchmark runs were no faster), and cut 29% and
+# 43% of a block's time at 5.9M and 11.8M (that MLP on 512 and 1024 rows).
+THREADED_MACS = 4_000_000
 
 
 @dataclass
@@ -160,7 +177,8 @@ def mcd_predict(net, data, cfg: McdConfig, loss_kind="log_mse", keep_trials=Fals
     moments = [(np.empty(n), np.empty(n)) for _ in counts]
     kept = [[] for _ in range(passes)]  # trial j's uniform draws, in order
     shared_part = getattr(net, "shared_part", lambda rows: None)
-    workers = _workers(passes)
+    # a pass's multiply-adds per row: the size of every weight matrix
+    macs = sum(p.size for p in getattr(net, "params", list)() if p.ndim == 2)
     for b, (start, stop) in enumerate(blocks):
         rows, block = x[start:stop], buffer[: stop - start]
         shared = shared_part(rows)
@@ -174,7 +192,7 @@ def mcd_predict(net, data, cfg: McdConfig, loss_kind="log_mse", keep_trials=Fals
             out, _ = net.forward(rows, mode, rng, **extra)
             block[:, j] = _scalarize(loss_kind, out)
 
-        _deal(workers, passes, run)
+        _deal(_workers(passes, (stop - start) * macs), passes, run)
         for t, (means, stds) in zip(counts, moments):
             means[start:stop], stds[start:stop] = _moments(np.ascontiguousarray(block[:, :t]))
         if keep_trials:
@@ -185,32 +203,31 @@ def mcd_predict(net, data, cfg: McdConfig, loss_kind="log_mse", keep_trials=Fals
     return results[0] if at is None else results
 
 
-def _blocks(n, batch_size, shortest=BLOCK_ROWS // 2):
+def _blocks(n, batch_size):
     """The (start, stop) row ranges of the inference passes: batch_size
     rows each, the last one shorter if need be; or, for batch_size 0, a
-    block at every multiple of BLOCK_ROWS that has at least shortest rows
-    from it on, each running to the next. So a shorter remainder joins the
-    last block, and n < BLOCK_ROWS + shortest rows are one block. MCD
-    keeps the default, so that no block exceeds 1535 rows while several
-    passes are in flight. train's validation pass, one pass per block,
-    takes shortest=BLOCK_ROWS: with the default's tail blocks, the peak
-    RSS of the fit_mlp benchmark landed in its 58-61 MB mode instead of at
-    55 MB far more often (heap fragmentation)."""
+    block at every multiple of BLOCK_ROWS that has at least BLOCK_ROWS // 2
+    rows from it on, each running to the next. So a shorter remainder
+    joins the last block, no block exceeds 1535 rows, and n < 1536 rows
+    are one block. train's validation pass runs in the same blocks."""
     if batch_size > 0:
         starts = list(range(0, n, batch_size))
     else:
-        starts = list(range(0, n - shortest + 1, BLOCK_ROWS)) or [0]
+        starts = list(range(0, n - BLOCK_ROWS // 2 + 1, BLOCK_ROWS)) or [0]
     return list(zip(starts, starts[1:] + [n]))
 
 
-def _workers(passes):
-    """The threads that run a block's passes: one per CPU this process may
-    run on, at most one per pass."""
+def _workers(passes, pass_macs):
+    """The threads that run a block's passes of pass_macs multiply-adds
+    each: one per CPU this process may run on, at most MAX_WORKERS and at
+    most one per pass; one when the passes are under THREADED_MACS."""
+    if pass_macs < THREADED_MACS:
+        return 1
     try:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # a platform without affinity masks
         cpus = os.cpu_count() or 1
-    return min(cpus, passes)
+    return min(cpus, passes, MAX_WORKERS)
 
 
 def _deal(workers, passes, run):
@@ -219,28 +236,33 @@ def _deal(workers, passes, run):
     the lowest j not yet taken. Once a call raises, no further call
     starts; after every helper has returned, the error of the lowest
     failing j is raised. Every lower j was taken before it and ran, so
-    that is the error a serial loop raises."""
-    lock = threading.Lock()
-    order = iter(range(passes))
-    errors = {}
+    that is the error a serial loop raises. If the calling thread itself
+    is interrupted, or a helper fails to start, the helpers take no
+    further j and are joined before the exception propagates."""
+    lock, errors = threading.Lock(), {}
+    untaken = list(range(passes - 1, -1, -1))  # popped from the end: lowest j first
 
     def drain():
-        while not errors:
+        while True:
             with lock:
-                j = next(order, None)
-            if j is None:
-                return
+                if errors or not untaken:
+                    return
+                j = untaken.pop()
             try:
                 run(j)
             except BaseException as exc:  # raised on the calling thread below
                 errors[j] = exc
 
-    helpers = [threading.Thread(target=drain) for _ in range(workers - 1)]
-    for helper in helpers:
-        helper.start()
+    helpers = []
     try:
+        for _ in range(workers - 1):
+            helper = threading.Thread(target=drain)
+            helper.start()
+            helpers.append(helper)
         drain()
     finally:
+        with lock:
+            untaken.clear()
         for helper in helpers:
             helper.join()
     if errors:

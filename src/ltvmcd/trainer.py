@@ -6,7 +6,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import losses
-from .mcd import BLOCK_ROWS, _blocks
+from .mcd import _blocks
 from .numcore import AdamState, NumericError, RngStream, ShapeError, adam_step
 
 
@@ -95,9 +95,9 @@ def train(net, data, cfg: TrainConfig):
             adam_step(state, params, grads)
             total += lv.value * len(rows)
         train_loss = total / len(order)
-        # in blocks of at least BLOCK_ROWS rows: the bits of one whole-batch pass
+        # in MCD's blocks: the bits of one whole-batch pass
         val_out = np.concatenate([net.forward(data.features[val_idx[a:b]], "eval")[0]
-                                  for a, b in _blocks(n_val, 0, shortest=BLOCK_ROWS)])
+                                  for a, b in _blocks(n_val, 0)])
         val_loss = fn(val_out, y_va).value
         history.append((epoch, train_loss, val_loss))
         if cfg.patience is not None:

@@ -39,7 +39,7 @@ class ScriptedNet:
 class TestMcdPredict:
     def test_recorded_trials_two_and_four(self, monkeypatch):
         # the scripted values follow the call order, which is trial order on one worker
-        monkeypatch.setattr(mcd, "_workers", lambda passes: 1)
+        monkeypatch.setattr(mcd, "_workers", lambda passes, pass_macs: 1)
         ds = Dataset(["a"], np.zeros((1, 1)), np.zeros(1))
         net = ScriptedNet([2.0, 4.0])
         (s,) = mcd_predict(net, ds, McdConfig(trials=2), keep_trials=True)
@@ -294,7 +294,7 @@ def test_a_call_builds_one_stream_per_trial_and_holds_one_at_a_time(monkeypatch)
             alive.add(self)
 
     monkeypatch.setattr(mcd, "RngStream", Counted)
-    monkeypatch.setattr(mcd, "_workers", lambda passes: 1)
+    monkeypatch.setattr(mcd, "_workers", lambda passes, pass_macs: 1)
     net = nn.build_mlp(5, [8, 8], 0.3, seed=2)
     mcd_predict(net, tiny_dataset(n=23), McdConfig(trials=4, batch_size=7))
     assert made == [f"mcd/{j}" for j in range(4)]
@@ -313,7 +313,7 @@ def test_workers_build_one_stream_per_trial_and_hold_one_each(monkeypatch, worke
                 alive.add(self)
 
     monkeypatch.setattr(mcd, "RngStream", Counted)
-    monkeypatch.setattr(mcd, "_workers", lambda passes: workers)
+    monkeypatch.setattr(mcd, "_workers", lambda passes, pass_macs: workers)
     net = nn.build_mlp(5, [8, 8], 0.3, seed=2)
     mcd_predict(net, tiny_dataset(n=23), McdConfig(trials=7, batch_size=7))
     assert sorted(made) == sorted(f"mcd/{j}" for j in range(7))

@@ -1,9 +1,11 @@
-"""The trials of each MCD block run on every CPU of the process's
-affinity mask; these tests pin that the worker count changes no output
-byte and no error, and that no thread outlives a call."""
+"""The trials of each MCD block run on the CPUs of the process's affinity
+mask, at most mcd.MAX_WORKERS of them, and on the calling thread alone
+when its passes are short; these tests pin that the worker count changes
+no output byte and no error, and that no thread outlives a call."""
 
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -28,7 +30,7 @@ def network(arch, loss, dropout=0.3):
 
 
 def with_workers(monkeypatch, workers):
-    monkeypatch.setattr(mcd, "_workers", lambda passes: min(workers, passes))
+    monkeypatch.setattr(mcd, "_workers", lambda passes, pass_macs: min(workers, passes))
 
 
 def columns(results):
@@ -153,9 +155,83 @@ def test_every_worker_count_raises_the_error_of_the_lowest_failing_trial(monkeyp
     assert threading.active_count() == before
 
 
-def test_the_worker_count_is_the_affinity_mask_capped_at_the_passes(monkeypatch):
+def test_the_worker_count_is_the_affinity_mask_capped_at_the_passes_and_the_maximum(
+        monkeypatch):
+    long_pass = mcd.THREADED_MACS
+    monkeypatch.setattr(mcd.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert [mcd._workers(p, long_pass) for p in (1, 64)] == [1, 1]
+    monkeypatch.setattr(mcd, "MAX_WORKERS", 3)
     monkeypatch.setattr(mcd.os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
-    assert [mcd._workers(p) for p in (1, 2, 3, 64)] == [1, 2, 3, 3]
+    assert [mcd._workers(p, long_pass) for p in (1, 2, 3, 64)] == [1, 2, 3, 3]
+    monkeypatch.setattr(mcd.os, "sched_getaffinity", lambda pid: set(range(64)), raising=False)
+    assert mcd._workers(64, long_pass) == 3
+
+
+def test_short_passes_run_on_one_worker_whatever_the_mask(monkeypatch):
+    monkeypatch.setattr(mcd.os, "sched_getaffinity", lambda pid: set(range(64)), raising=False)
+    assert mcd._workers(64, mcd.THREADED_MACS - 1) == 1
+    assert mcd._workers(64, mcd.THREADED_MACS) == mcd.MAX_WORKERS == 2
+
+
+def bench_shaped_net(arch):
+    # 11552 multiply-adds a row for the MLP, 2930 for the DCNv2
+    if arch == "mlp":
+        return nn.build_mlp(10, [128, 64, 32], 0.2, seed=4)
+    return nn.build_dcnv2(10, 2, [64, 32], 0.2, seed=4)
+
+
+@pytest.mark.parametrize("arch, rows, threaded", [("mlp", 346, False), ("mlp", 347, True),
+                                                  ("dcnv2", 1000, False),
+                                                  ("dcnv2", 2048, True)])
+def test_a_block_runs_threaded_only_when_its_passes_are_long(monkeypatch, arch, rows,
+                                                             threaded):
+    # 346 MLP rows fall short of THREADED_MACS, 347 do not
+    monkeypatch.setattr(mcd.os, "sched_getaffinity", lambda pid: set(range(64)), raising=False)
+    worker_counts = []
+    deal = mcd._deal
+
+    def spy(workers, passes, run):
+        worker_counts.append(workers)
+        return deal(workers, passes, run)
+
+    monkeypatch.setattr(mcd, "_deal", spy)
+    x = 0.2 * np.random.default_rng(rows).normal(size=(2 * rows, 10))
+    ds = Dataset([f"u{i}" for i in range(2 * rows)], x, np.zeros(2 * rows))
+    mcd_predict(bench_shaped_net(arch), ds, McdConfig(trials=4, batch_size=rows))
+    assert worker_counts == [2 if threaded else 1] * 2
+
+
+def test_a_helper_that_fails_to_start_stops_the_others_and_raises(monkeypatch):
+    net, ds = network("mlp", "log_mse"), dataset(40)
+    passes, lock = [], threading.Lock()
+    forward = nn.Network.forward
+
+    def spy(self, x, *args, **kwargs):
+        out = forward(self, x, *args, **kwargs)
+        with lock:
+            passes.append(threading.current_thread())
+        return out
+
+    class SecondStartFails(threading.Thread):
+        starts = 0
+
+        def start(self):
+            SecondStartFails.starts += 1
+            if SecondStartFails.starts == 2:
+                raise RuntimeError("can't start new thread")
+            super().start()
+
+    with_workers(monkeypatch, 3)
+    monkeypatch.setattr(nn.Network, "forward", spy)
+    monkeypatch.setattr(mcd.threading, "Thread", SecondStartFails)
+    before = threading.active_count()
+    with pytest.raises(RuntimeError, match="can't start new thread"):
+        mcd_predict(net, ds, McdConfig(trials=1000, batch_size=40))
+    assert threading.active_count() == before
+    ran = len(passes)
+    time.sleep(0.05)
+    assert len(passes) == ran < 1000
+    assert threading.main_thread() not in passes
 
 
 def test_more_workers_than_cores_with_fast_switching_run_every_trial_once(monkeypatch):
