@@ -28,7 +28,7 @@ import numpy as np
 from . import __version__ as VERSION
 from . import data as datamod
 from . import losses, metrics, nn, trainer
-from .mcd import BLOCK_ROWS, McdConfig, McdResult, _scalarize, mcd_predict
+from .mcd import BLOCK_ROWS, McdConfig, McdResult, mcd_predict
 from .numcore import from_json
 
 SEED_ENV_VAR = "LTVMCD_SEED"
@@ -66,21 +66,10 @@ class ModelConfig:
 
 
 @dataclass
-class TrainSection(trainer.TrainConfig):
-    """The train section of a config file: every TrainConfig field but
-    loss, which --loss (train) or the table row (compare) sets."""
-
-    loss: str = field(default="log_mse", init=False)
-
-    def with_loss(self, loss):
-        return trainer.TrainConfig(**{**asdict(self), "loss": loss})
-
-
-@dataclass
 class TrainFile:
-    """A train or compare config file."""
+    """A train or compare config file; --loss or compare's rows set the loss."""
 
-    train: TrainSection = field(default_factory=TrainSection)
+    train: trainer.TrainConfig = field(default_factory=trainer.TrainConfig)
     model: ModelConfig = field(default_factory=ModelConfig)
     test_fraction: float = 0.2
 
@@ -180,9 +169,8 @@ def _prepare_training(args):
 
 def cmd_train(args, out):
     file_cfg, seed, train_std, test_raw = _prepare_training(args)
-    cfg = file_cfg.train.with_loss(args.loss)
     net = file_cfg.model.build(args.model, train_std.dim, losses.head_width(args.loss), seed)
-    net, history = trainer.train(net, train_std, cfg)
+    net, history = trainer.train(net, train_std, file_cfg.train, args.loss)
 
     ckpt = nn.Checkpoint(network=net, loss_kind=args.loss,
                          norm=(train_std.norm_mean, train_std.norm_std))
@@ -198,7 +186,8 @@ def cmd_train(args, out):
     print(f"trained {args.model}/{args.loss} on {train_std.n} rows, "
           f"{len(history)} epochs, final val loss {history[-1][2]:.6g}; "
           f"checkpoint at {args.out}")
-    return {**asdict(file_cfg), "train": asdict(cfg), "model_kind": args.model}, seed
+    train_cfg = {**asdict(file_cfg.train), "loss": args.loss}
+    return {**asdict(file_cfg), "train": train_cfg, "model_kind": args.model}, seed
 
 
 def _raw_mean(mean):
@@ -396,12 +385,12 @@ def cmd_compare(args, out):
 
     def fit(kind, loss):
         net = file_cfg.model.build(kind, train_std.dim, losses.head_width(loss), seed)
-        net, _ = trainer.train(net, train_std, file_cfg.train.with_loss(loss))
+        net, _ = trainer.train(net, train_std, file_cfg.train, loss)
         return net
 
     def eval_preds(net, loss):
         head, _ = net.forward(test_std.features, "eval")
-        return _raw_space(loss, _scalarize(loss, head), test_std.ids)
+        return _raw_space(loss, losses.point_fn(loss)(head), test_std.ids)
 
     def mcd_preds(net, loss):
         return _raw_space(loss, mcd_predict(net, test_std, mcd_cfg, loss_kind=loss).mean, test_std.ids)
@@ -427,9 +416,7 @@ def cmd_compare(args, out):
     header = ["model", "normalized_gini", "top_k_mape", "top_k_hit_rate"]
     datamod.write_csv(out.path(args.out), header, rows)
     print(f"comparison table at {args.out}")
-    config = asdict(file_cfg)
-    del config["train"]["loss"]  # each row sets its own
-    return {**config, "trials": args.trials, "k": args.k}, seed
+    return {**asdict(file_cfg), "trials": args.trials, "k": args.k}, seed
 
 
 BATCH_HELP = (f"rows per forward pass (0 = blocks of {BLOCK_ROWS} rows, a remainder of "
@@ -454,7 +441,7 @@ def build_parser():
     p = sub.add_parser("train", help="split, standardize, train, checkpoint")
     p.add_argument("--data", required=True, help="dataset CSV")
     p.add_argument("--model", required=True, choices=("mlp", "dcnv2"))
-    p.add_argument("--loss", default="log_mse", choices=("log_mse", "ziln"))
+    p.add_argument("--loss", default="log_mse", choices=tuple(losses.HEAD_WIDTHS))
     p.add_argument("--config", default=None, help="train config JSON file")
     p.add_argument("--out", required=True, help="checkpoint path")
     p.add_argument("--seed", type=int, default=None)

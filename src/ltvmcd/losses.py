@@ -9,7 +9,7 @@ Two heads are supported:
   expected amount p * exp(mu + sigma^2 / 2).
 
 All functions are pure; gradients are analytic and returned alongside the
-scalar loss.
+scalar loss. HEAD_WIDTHS, loss_fn and point_fn hold every fact of a kind.
 """
 
 import math
@@ -20,6 +20,7 @@ import numpy as np
 from .numcore import NumericError, ShapeError, ensure_finite
 
 SIGMA_FLOOR = 1e-6  # guards the lognormal logpdf against division by zero
+HEAD_WIDTHS = {"log_mse": 1, "ziln": 3}  # every loss kind, with its head width
 
 _HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
 
@@ -121,14 +122,21 @@ def ziln_predict(head) -> np.ndarray:
     return out
 
 
-def loss_fn(kind: str):
-    """Resolve a loss kind name to its function; raises on unknown names."""
-    if kind == "log_mse":
-        return log_mse
-    if kind == "ziln":
-        return ziln_loss
-    raise ValueError(f"unknown loss kind {kind!r}")
-
-
 def head_width(kind: str) -> int:
-    return {"log_mse": 1, "ziln": 3}[kind]
+    """The head width of a loss kind; ValueError for an unknown kind."""
+    if not (isinstance(kind, str) and kind in HEAD_WIDTHS):
+        raise ValueError(f"unknown loss kind {kind!r}")
+    return HEAD_WIDTHS[kind]
+
+
+def loss_fn(kind: str):
+    """The kind's loss function, as this module holds it at the call."""
+    head_width(kind)
+    return log_mse if kind == "log_mse" else ziln_loss
+
+
+def point_fn(kind: str):
+    """The map of a kind's (B, width) head to (B,) point predictions in the
+    model's output space: log1p space for log_mse, raw amounts for ziln."""
+    head_width(kind)
+    return (lambda head: head[:, 0]) if kind == "log_mse" else ziln_predict

@@ -35,7 +35,7 @@ The result holds, as columns, the mean and sample standard deviation of
 each sample's trial vector in the model's output space. For log-MSE
 models that is log1p space; conversion to raw amounts happens at the
 metrics boundary. ZILN heads are reduced to their expected raw amount
-per trial. Both are row-wise reductions, so each block's moments are
+per trial (losses.point_fn). Both are row-wise reductions, so each block's moments are
 taken as soon as its T passes are done, for every requested trial
 count: a call holds one block x T trial values, and the (n, T) trial
 matrix exists only when it is kept (keep_trials), with the same bits
@@ -136,14 +136,6 @@ class McdResult:
         return (self[i] for i in range(len(self)))
 
 
-def _scalarize(kind, out):
-    if kind == "log_mse":
-        return out[:, 0]
-    if kind == "ziln":
-        return losses.ziln_predict(out)
-    raise ValueError(f"unknown loss kind {kind!r}")
-
-
 def mcd_predict(net, data, cfg: McdConfig, loss_kind="log_mse", keep_trials=False, at=None):
     """Run T mc_sample forward passes over the dataset, then per-sample
     mean and sample std of the resulting trial vectors, aggregated in
@@ -161,6 +153,7 @@ def mcd_predict(net, data, cfg: McdConfig, loss_kind="log_mse", keep_trials=Fals
     the blocks and trials would raise first. Deterministic given (model,
     data, seed, T), whatever the number of CPUs.
     """
+    point = losses.point_fn(loss_kind)  # an unknown kind raises before any pass
     x = data.features
     if x.shape[1] != net.input_dim:
         raise ShapeError(f"feature width {x.shape[1]} != network input {net.input_dim}")
@@ -190,7 +183,7 @@ def mcd_predict(net, data, cfg: McdConfig, loss_kind="log_mse", keep_trials=Fals
                 stream = RngStream(cfg.master_seed, f"mcd/{j}") if b == 0 else None
                 rng = _Draws(kept[j], stream)
             out, _ = net.forward(rows, mode, rng, **extra)
-            block[:, j] = _scalarize(loss_kind, out)
+            block[:, j] = point(out)
 
         _deal(_workers(passes, (stop - start) * macs), passes, run)
         for t, (means, stds) in zip(counts, moments):

@@ -470,10 +470,9 @@ def _checkpoint_from_doc(doc):
         if not np.isfinite(p).all():
             raise ValueError(f"{name} must be finite")
     loss_kind = doc.get("loss", "log_mse")
-    losses.loss_fn(loss_kind)  # validates the name
+    width = losses.head_width(loss_kind)
     # a zero-row pass runs every layer's shape check on the chain of widths
     out, _ = net.forward(np.zeros((0, net.input_dim)), "eval")
-    width = losses.head_width(loss_kind)
     if out.shape[1] != width:
         raise ValueError(f"head width {out.shape[1]} does not fit loss {loss_kind!r}, "
                          f"which needs {width}")

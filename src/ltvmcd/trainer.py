@@ -19,7 +19,6 @@ class TrainConfig:
     beta2: float = 0.999
     eps: float = 1e-8
     master_seed: int = 0
-    loss: str = "log_mse"
     patience: int | None = 5  # None disables early stopping
     val_fraction: float = 0.1
 
@@ -39,11 +38,11 @@ class TrainConfig:
             raise ValueError("val_fraction must be in (0, 1)")
         if self.patience is not None and self.patience < 1:
             raise ValueError("patience must be >= 1 or None")
-        losses.loss_fn(self.loss)  # validates the name
 
 
-def train(net, data, cfg: TrainConfig):
-    """Adam mini-batch training with a held-out validation slice.
+def train(net, data, cfg: TrainConfig, loss_kind="log_mse"):
+    """Adam mini-batch training of a loss_kind head ("log_mse" or "ziln",
+    see losses) with a held-out validation slice.
 
     All randomness comes from streams of cfg.master_seed with fixed
     labels: "train/val_split" picks the validation rows,
@@ -63,10 +62,10 @@ def train(net, data, cfg: TrainConfig):
         raise ValueError("dataset is empty")
     if data.features.shape[1] != net.input_dim:
         raise ShapeError(f"feature width {data.features.shape[1]} != network input {net.input_dim}")
-    width = losses.head_width(cfg.loss)
+    width = losses.head_width(loss_kind)
     if net.output_dim != width:
-        raise ShapeError(f"{cfg.loss} needs a width-{width} head, network has {net.output_dim}")
-    fn = losses.loss_fn(cfg.loss)
+        raise ShapeError(f"{loss_kind} needs a width-{width} head, network has {net.output_dim}")
+    fn = losses.loss_fn(loss_kind)
 
     perm = RngStream(cfg.master_seed, "train/val_split").permutation(n)
     n_val = min(max(int(round(n * cfg.val_fraction)), 1), n - 1)

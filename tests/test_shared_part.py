@@ -52,7 +52,7 @@ def test_trial_columns_equal_a_fresh_pass_per_chunk(batch_size, loss_kind, n_cro
         for start, stop in mcd._blocks(ds.n, batch_size):
             out, _ = net.forward(ds.features[start:stop], "mc_sample",
                                  RngStream(seed, f"mcd/{j}"))
-            expected = mcd._scalarize(loss_kind, out)
+            expected = losses.point_fn(loss_kind)(out)
             assert result.trials[start:stop, j].tobytes() == expected.tobytes()
 
 

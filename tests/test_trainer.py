@@ -32,7 +32,8 @@ class TestTrainConfig:
         with pytest.raises(ValueError):
             trainer.TrainConfig(val_fraction=1.0)
         with pytest.raises(ValueError):
-            trainer.TrainConfig(loss="huber")
+            trainer.train(nn.build_mlp(4, [6], 0.0, seed=1), linear_log_task(32),
+                          trainer.TrainConfig(), loss_kind="huber")
 
 
 class TestTrain:
@@ -103,9 +104,9 @@ class TestTrain:
     def test_head_width_mismatch_rejected(self):
         ds = linear_log_task(32)
         net = nn.build_mlp(4, [6], 0.0, seed=1)  # width-1 head
-        cfg = trainer.TrainConfig(epochs=1, batch_size=8, loss="ziln")
+        cfg = trainer.TrainConfig(epochs=1, batch_size=8)
         with pytest.raises(ValueError):
-            trainer.train(net, ds, cfg)
+            trainer.train(net, ds, cfg, loss_kind="ziln")
 
 
 class TestBoundedMemory:
@@ -127,9 +128,9 @@ class TestBoundedMemory:
             net = nn.build_mlp(10, [32, 16], 0.2, out_dim=width, seed=3)
         else:
             net = nn.build_dcnv2(10, 2, [32, 16], 0.2, out_dim=width, seed=3)
-        cfg = trainer.TrainConfig(epochs=1, batch_size=256, master_seed=4, loss=loss,
+        cfg = trainer.TrainConfig(epochs=1, batch_size=256, master_seed=4,
                                   val_fraction=0.5, patience=None)
-        net, hist = trainer.train(net, ds, cfg)
+        net, hist = trainer.train(net, ds, cfg, loss_kind=loss)
         val_idx = RngStream(4, "train/val_split").permutation(n)[:n_val]
         out, _ = net.forward(x[val_idx], "eval")
         assert hist[-1][2] == losses.loss_fn(loss)(out, ds.labels[val_idx]).value
