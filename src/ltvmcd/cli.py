@@ -3,11 +3,12 @@ prediction, evaluation, trial-count sweeps, and a model comparison table.
 
 Every command is a pure function of its inputs, config, and master seed,
 so re-running a command reproduces its artifacts byte for byte. Each
-cmd_*(args, out) writes every artifact to out.path(target) and returns
-(resolved config, seed); main() stages the manifest <out>.manifest.json
-last and commits them all together, only if the command succeeded. The
-manifest's duration field is wall-clock and is the one part of a run
-that is not reproducible.
+cmd_*(args, out) checks its options, reserves out.path(target) for every
+artifact before its first read (so a bad output path fails before any
+work), writes each artifact there and returns (resolved config, seed);
+main() stages the manifest <out>.manifest.json last and commits them all
+together, only if the command succeeded. The manifest's duration field
+is wall-clock and is the one part of a run that is not reproducible.
 
 Seed resolution order: LTVMCD_SEED env var, then --seed, then the config
 file, then 0.
@@ -146,42 +147,47 @@ def _expm1_overflows(ids, means, i):
 def cmd_gen_data(args, out):
     cfg = _load_config(datamod.SynthConfig, args.config)
     cfg = replace(cfg, master_seed=_resolve_seed(args.seed, cfg.master_seed))
+    path = out.path(args.out)
     dataset = datamod.generate_synthetic(cfg)
-    datamod.save_csv(dataset, out.path(args.out))
+    datamod.save_csv(dataset, path)
     positives = float(np.mean(dataset.labels > 0))
     print(f"wrote {dataset.n} rows x {dataset.dim} features to {args.out} "
           f"(positive rate {positives:.4f})")
     return asdict(cfg), cfg.master_seed
 
 
-def _prepare_training(args):
-    """Shared start of train and compare: read the config file, resolve the
-    seed, load the dataset, split off the test fraction, and standardize
-    the train split in place on its own statistics. Returns (TrainFile
-    with the seed resolved, seed, train_std, test_raw)."""
+def _train_file(args):
+    """Shared start of train and compare: read the config file and resolve
+    the seed. Returns (TrainFile with the seed resolved, seed)."""
     cfg = _load_config(TrainFile, args.config) if args.config else TrainFile()
     seed = _resolve_seed(args.seed, cfg.train.master_seed)
-    cfg = replace(cfg, train=replace(cfg.train, master_seed=seed))
+    return replace(cfg, train=replace(cfg.train, master_seed=seed)), seed
+
+
+def _split_data(args, cfg, seed):
+    """Load the dataset, split off cfg's test fraction, and standardize the
+    train split in place on its own statistics. Returns (train_std, test_raw)."""
     train, test = datamod.split(datamod.load_csv(args.data), 1.0 - cfg.test_fraction, seed)
     datamod.standardize_in_place(train)  # a fresh gather that nothing else holds
-    return cfg, seed, train, test
+    return train, test
 
 
 def cmd_train(args, out):
-    file_cfg, seed, train_std, test_raw = _prepare_training(args)
+    file_cfg, seed = _train_file(args)
+    ckpt_path = out.path(args.out)
+    history_path = out.path(args.history_out or args.out + ".history.csv")
+    test_path = out.path(args.test_out) if args.test_out else None
+    train_std, test_raw = _split_data(args, file_cfg, seed)
     net = file_cfg.model.build(args.model, train_std.dim, losses.head_width(args.loss), seed)
     net, history = trainer.train(net, train_std, file_cfg.train, args.loss)
 
     ckpt = nn.Checkpoint(network=net, loss_kind=args.loss,
                          norm=(train_std.norm_mean, train_std.norm_std))
-    nn.save_checkpoint(out.path(args.out), ckpt)
-
-    history_path = args.history_out or args.out + ".history.csv"
+    nn.save_checkpoint(ckpt_path, ckpt)
     rows = [(epoch, _fmt(tr), _fmt(val)) for epoch, tr, val in history]
-    datamod.write_csv(out.path(history_path), ["epoch", "train_loss", "val_loss"], rows)
-
-    if args.test_out:
-        datamod.save_csv(test_raw, out.path(args.test_out))
+    datamod.write_csv(history_path, ["epoch", "train_loss", "val_loss"], rows)
+    if test_path:
+        datamod.save_csv(test_raw, test_path)
 
     print(f"trained {args.model}/{args.loss} on {train_std.n} rows, "
           f"{len(history)} epochs, final val loss {history[-1][2]:.6g}; "
@@ -202,6 +208,7 @@ def _raw_mean(mean):
 def cmd_predict(args, out):
     seed = _resolve_seed(args.seed, 0)
     cfg = McdConfig(trials=args.trials, master_seed=seed, batch_size=args.batch_size)
+    path = out.path(args.out)
     ckpt, ds = _prepare_inference(args)
     result = mcd_predict(ckpt.network, ds, cfg, loss_kind=ckpt.loss_kind,
                          keep_trials=args.keep_trials)
@@ -220,7 +227,7 @@ def cmd_predict(args, out):
     if args.keep_trials:
         header.extend(f"t{j}" for j in range(args.trials))
         rows = ([*row, *map(_fmt, trials.tolist())] for row, trials in zip(rows, result.trials))
-    datamod.write_csv(out.path(args.out), header, rows)
+    datamod.write_csv(path, header, rows)
     print(f"wrote {len(result)} predictions ({args.trials} trials) to {args.out}")
     return {"trials": args.trials, "batch_size": args.batch_size,
             "loss": ckpt.loss_kind, "model": args.model}, seed
@@ -290,6 +297,11 @@ def _parse_z_grid(spec_str):
 def cmd_evaluate(args, out):
     metrics.check_k(args.k)
     grid = _parse_z_grid(args.z_grid)
+    curve_path = args.curve_out
+    if curve_path is None:
+        stem = args.out[:-5] if args.out.endswith(".json") else args.out
+        curve_path = stem + ".curve.csv"
+    report_path, curve_path = out.path(args.out), out.path(curve_path)
     result, raw_means = _read_predictions(args.preds)
     dataset = datamod.load_csv(args.data)
     if len(result) != dataset.n:
@@ -308,14 +320,9 @@ def cmd_evaluate(args, out):
     report = metrics.build_report(preds_raw, labels_raw, k=args.k,
                                   summaries=result, labels_model_space=labels_model,
                                   z_grid=grid)
-    _write_json(out.path(args.out), asdict(report))
-
-    curve_path = args.curve_out
-    if curve_path is None:
-        stem = args.out[:-5] if args.out.endswith(".json") else args.out
-        curve_path = stem + ".curve.csv"
+    _write_json(report_path, asdict(report))
     rows = [(_fmt(z), _fmt(acc)) for z, acc in report.confidence_curve]
-    datamod.write_csv(out.path(curve_path), ["z", "accuracy"], rows)
+    datamod.write_csv(curve_path, ["z", "accuracy"], rows)
     print(f"n={report.n} gini={report.normalized_gini:.4f} "
           f"mape@{args.k:g}={report.top_k_mape:.4f} "
           f"hit@{args.k:g}={report.top_k_hit_rate:.4f}; report at {args.out}")
@@ -344,11 +351,14 @@ def cmd_sweep_trials(args, out):
         _fail(f"grid must be comma-separated integers, got {args.grid!r}")
     if not grid or any(t < 1 for t in grid):
         _fail(f"grid entries must be >= 1, got {args.grid!r}")
+    if len(set(grid)) < len(grid):
+        _fail(f"grid entries must be distinct, got {args.grid!r}")
     if args.reps < 1:
         _fail("reps must be >= 1")
     seed = _resolve_seed(args.seed, 0)
     # one run at the largest T per rep; each smaller T reads its first trials
     cfg = McdConfig(trials=max(grid), master_seed=seed, batch_size=args.batch_size)
+    path = out.path(args.out)
     ckpt, ds = _prepare_inference(args)
 
     labels = ds.labels
@@ -370,7 +380,7 @@ def cmd_sweep_trials(args, out):
               f"mape@{args.k:g} {m_mean:.4f} +/- {m_std:.5f}")
 
     header = ["trials", "gini_mean", "gini_std", "mape_mean", "mape_std"]
-    datamod.write_csv(out.path(args.out), header, rows)
+    datamod.write_csv(path, header, rows)
     print(f"sweep table at {args.out}")
     return {"grid": grid, "reps": args.reps, "k": args.k,
             "batch_size": args.batch_size, "model": args.model}, seed
@@ -379,7 +389,9 @@ def cmd_sweep_trials(args, out):
 def cmd_compare(args, out):
     metrics.check_k(args.k)
     mcd_cfg = McdConfig(trials=args.trials)  # checked before the data is read
-    file_cfg, seed, train_std, test_std = _prepare_training(args)
+    file_cfg, seed = _train_file(args)
+    path = out.path(args.out)
+    train_std, test_std = _split_data(args, file_cfg, seed)
     mcd_cfg = replace(mcd_cfg, master_seed=seed)
     datamod.standardize_in_place(test_std, train_std.norm_mean, train_std.norm_std)
 
@@ -414,7 +426,7 @@ def cmd_compare(args, out):
               f"hit@{args.k:g}={r.top_k_hit_rate:.4f}")
 
     header = ["model", "normalized_gini", "top_k_mape", "top_k_hit_rate"]
-    datamod.write_csv(out.path(args.out), header, rows)
+    datamod.write_csv(path, header, rows)
     print(f"comparison table at {args.out}")
     return {**asdict(file_cfg), "trials": args.trials, "k": args.k}, seed
 

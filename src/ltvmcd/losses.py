@@ -130,7 +130,7 @@ def head_width(kind: str) -> int:
 
 
 def loss_fn(kind: str):
-    """The kind's loss function, as this module holds it at the call."""
+    """The kind's loss function, looked up at the call, so a patched one is returned."""
     head_width(kind)
     return log_mse if kind == "log_mse" else ziln_loss
 

@@ -35,12 +35,12 @@ The result holds, as columns, the mean and sample standard deviation of
 each sample's trial vector in the model's output space. For log-MSE
 models that is log1p space; conversion to raw amounts happens at the
 metrics boundary. ZILN heads are reduced to their expected raw amount
-per trial (losses.point_fn). Both are row-wise reductions, so each block's moments are
-taken as soon as its T passes are done, for every requested trial
-count: a call holds one block x T trial values, and the (n, T) trial
-matrix exists only when it is kept (keep_trials), with the same bits
-either way. A mean or std that is not finite is an error naming its
-sample.
+per trial (losses.point_fn). Both are row-wise reductions, so each
+block's moments are taken as soon as its T passes are done, for every
+requested trial count: a call holds one block x T trial values, and the
+(n, T) trial matrix exists only when it is kept (keep_trials), with the
+same bits either way. A mean or std that is not finite is an error
+naming its sample.
 """
 
 import os

@@ -120,6 +120,8 @@ def short_norm(doc):
     pytest.param(lambda doc: doc["stack"][-1].update(w=doc["stack"][-1]["w"] * 3,
                                                      b=doc["stack"][-1]["b"] * 3),
                  "head width 3 does not fit loss 'log_mse'", id="ziln_head_as_log_mse"),
+    pytest.param(lambda doc: doc.update(loss="huber"), "unknown loss kind 'huber'", id="loss_unknown"),
+    pytest.param(lambda doc: doc.update(loss=["ziln"]), "unknown loss kind ['ziln']", id="loss_list"),
     pytest.param(lambda doc: [row.pop() for row in doc["stack"][0]["w"]],
                  "matmul shape mismatch", id="dropped_weight_column"),
     # a value of the wrong JSON type, which a float() or int() would accept

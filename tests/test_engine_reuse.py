@@ -48,10 +48,10 @@ def raw_scale(net):
 SWEEPS = {
     # name: (network, grid, reps, batch size)
     "dcnv2_stochastic_chunked": (raw_scale(nn.build_dcnv2(3, 2, [8, 4], 0.3, seed=4)),
-                                 "4,1,2,4", 3, 7),
+                                 "4,1,2", 3, 7),
     # one eval pass repeated t times does not average back to itself
-    "mlp_dropout0_whole_batch": (raw_scale(nn.build_mlp(3, [8], 0.0, seed=5)), "3,1,5,3", 2, 0),
-    "mlp_dropout0_chunked": (raw_scale(nn.build_mlp(3, [8], 0.0, seed=5)), "3,1,5,3", 2, 16),
+    "mlp_dropout0_whole_batch": (raw_scale(nn.build_mlp(3, [8], 0.0, seed=5)), "3,1,5", 2, 0),
+    "mlp_dropout0_chunked": (raw_scale(nn.build_mlp(3, [8], 0.0, seed=5)), "3,1,5", 2, 16),
 }
 
 

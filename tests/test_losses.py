@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from ltvmcd import losses
+from ltvmcd import McdConfig, losses, mcd_predict, nn, trainer
+from ltvmcd.data import Dataset
 
 
 def fd_grad(f, x, step=1e-5):
@@ -139,7 +140,36 @@ class TestZilnPredict:
 def test_loss_fn_dispatch():
     assert losses.loss_fn("log_mse") is losses.log_mse
     assert losses.loss_fn("ziln") is losses.ziln_loss
-    with pytest.raises(ValueError):
-        losses.loss_fn("huber")
+    for lookup in (losses.loss_fn, losses.head_width, losses.point_fn):
+        with pytest.raises(ValueError, match="unknown loss kind 'huber'"):
+            lookup("huber")
     assert losses.head_width("log_mse") == 1
     assert losses.head_width("ziln") == 3
+
+
+class TestUnknownKind:
+    """An unknown loss kind is raised before any pass."""
+
+    MESSAGE = "unknown loss kind 'huber'"
+
+    @pytest.fixture
+    def forwards(self, monkeypatch):
+        calls = []
+        forward = nn.Network.forward
+        monkeypatch.setattr(nn.Network, "forward",
+                            lambda net, *a, **kw: calls.append(1) or forward(net, *a, **kw))
+        return calls
+
+    def test_mcd_predict_runs_no_pass(self, forwards):
+        ds = Dataset(["a", "b"], np.zeros((2, 3)), np.zeros(2))
+        net = nn.build_mlp(3, [4], 0.2, seed=0)
+        with pytest.raises(ValueError, match=self.MESSAGE):
+            mcd_predict(net, ds, McdConfig(trials=4), loss_kind="huber")
+        assert forwards == []
+
+    def test_train_runs_no_batch(self, forwards):
+        ds = Dataset([f"r{i}" for i in range(8)], np.zeros((8, 3)), np.ones(8))
+        net = nn.build_mlp(3, [4], 0.2, seed=0)
+        with pytest.raises(ValueError, match=self.MESSAGE):
+            trainer.train(net, ds, trainer.TrainConfig(epochs=1), loss_kind="huber")
+        assert forwards == []

@@ -23,6 +23,7 @@ CASES = {
     "predict-trials": (PREDICT + ["--trials", "0"], "trial count must be >= 1"),
     "predict-batch-size": (PREDICT + ["--batch-size", "-1"], "batch_size must be >= 0"),
     "sweep-grid": (SWEEP + ["--grid", "0"], "grid entries must be >= 1, got '0'"),
+    "sweep-grid-repeat": (SWEEP + ["--grid", "4,4,1"], "grid entries must be distinct, got '4,4,1'"),
     "sweep-reps": (SWEEP + ["--reps", "0"], "reps must be >= 1"),
     "sweep-batch-size": (SWEEP + ["--batch-size", "-1"], "batch_size must be >= 0"),
     "evaluate-z-grid": (EVALUATE + ["--z-grid", "1:0:0.1"], Z_GRID_ERROR),
@@ -54,3 +55,42 @@ def test_the_counted_calls_happen_on_a_good_run(tmp_path, counted):
     for argv in (PREDICT + ["--trials", "2"], EVALUATE):
         assert cli.main([str(a) for a in in_dir(tmp_path, argv)]) == 0
     assert counted == ["load_checkpoint", "load_csv", "mcd_predict", "_read_predictions", "load_csv"]
+
+
+GEN_DATA = ["gen-data", "--config", "g.json", "--out", "g.csv"]
+
+# a command line whose output cannot be reserved, and the target that fails
+UNRESERVED = {
+    "gen-data": (GEN_DATA + ["--out", "nodir/g.csv"], "nodir/g.csv"),
+    "train-out": (TRAIN + ["--out", "nodir/m2.ckpt"], "nodir/m2.ckpt"),
+    "train-history-out": (TRAIN + ["--history-out", "nodir/h.csv"], "nodir/h.csv"),
+    "train-test-out": (TRAIN + ["--test-out", "nodir/t.csv"], "nodir/t.csv"),
+    "predict": (PREDICT + ["--out", "nodir/p2.csv"], "nodir/p2.csv"),
+    "evaluate-out": (EVALUATE + ["--out", "nodir/r.json"], "nodir/r.json"),
+    "evaluate-curve-out": (EVALUATE + ["--curve-out", "nodir/c.csv"], "nodir/c.csv"),
+    "sweep-trials": (SWEEP + ["--out", "nodir/s.csv"], "nodir/s.csv"),
+    "compare": (COMPARE + ["--out", "nodir/c.csv"], "nodir/c.csv"),
+    "train-history-clash": (TRAIN + ["--history-out", "m2.ckpt"], "m2.ckpt"),
+    "train-test-clash": (TRAIN + ["--test-out", "m2.ckpt.history.csv"], "m2.ckpt.history.csv"),
+    "evaluate-curve-clash": (EVALUATE + ["--curve-out", "r.json"], "r.json"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNRESERVED))
+def test_an_output_that_cannot_be_reserved_fails_before_any_read(tmp_path, capsys, monkeypatch,
+                                                                 counted, case):
+    """Each command reserves its artifacts before it reads or generates
+    data: a missing output directory, or a second artifact naming the file
+    of an earlier one, is today's one error line, and no work is done."""
+    (tmp_path / "g.json").write_text('{"n": 50, "dim": 2}')
+    generate = cli.datamod.generate_synthetic
+    monkeypatch.setattr(cli.datamod, "generate_synthetic",
+                        lambda cfg: counted.append("generate_synthetic") or generate(cfg))
+    argv, target = UNRESERVED[case]
+    target = tmp_path / target
+    line = run_fails(capsys, *in_dir(tmp_path, argv))
+    if "clash" in case:
+        assert line == f"ltvmcd: error: {target}: two outputs of this command name this file"
+    else:
+        assert line == f"ltvmcd: error: [Errno 2] No such file or directory: '{target}'"
+    assert counted == []
