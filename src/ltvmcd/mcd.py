@@ -289,12 +289,8 @@ def _moments(passes):
     gives. Overflow yields inf or nan here, which _result rejects."""
     n, k = passes.shape
     with np.errstate(over="ignore", invalid="ignore"):
-        means = passes.mean(axis=1)
-        if k == 1:
-            return means, np.zeros(n)
-        devs = passes - means[:, None]
-        devs *= devs
-        return means, np.sqrt(devs.sum(axis=1) / (k - 1))
+        stds = passes.std(axis=1, ddof=1) if k > 1 else np.zeros(n)
+        return passes.mean(axis=1), stds
 
 
 def _result(ids, means, stds, t, trials):

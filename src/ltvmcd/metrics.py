@@ -18,15 +18,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .mcd import McdResult, confidence_interval
-from .numcore import NumericError, ShapeError
+from .numcore import NumericError, ShapeError, ensure_finite
 
 
 def _as_vector(values, what):
     arr = np.asarray(values, dtype=float)
     if arr.ndim != 1:
         raise ShapeError(f"{what} must be 1-D, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise NumericError(f"{what} contains non-finite values")
+    ensure_finite(arr, what)
     return arr
 
 
@@ -40,8 +39,7 @@ def _check_pair(preds, labels):
 
 def _rank_descending(values):
     """Indices sorting values descending, ties broken by ascending index."""
-    n = values.shape[0]
-    return np.lexsort((np.arange(n), -values))
+    return np.argsort(-values, kind="stable")
 
 
 def check_k(k):

@@ -156,9 +156,7 @@ def grad_check(net, loss_kind="log_mse", tol=1e-4, batch_size=4, seed=99, step=1
     worst = (0.0, "")
     for (name, p), a_grad in zip(net.named_params(), analytic):
         worst_here = 0.0
-        it = np.nditer(p, flags=["multi_index"])
-        for _ in it:
-            idx = it.multi_index
+        for idx in np.ndindex(p.shape):
             orig = p[idx]
             p[idx] = orig + step
             up = run_loss().value
