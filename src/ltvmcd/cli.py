@@ -116,11 +116,14 @@ def _fmt(value):
 
 def _prepare_inference(args):
     """Shared start of predict and sweep-trials, once their options are
-    checked: load the checkpoint and the dataset, and standardize the
-    dataset in place with the checkpoint's norm. Returns (checkpoint,
-    dataset)."""
+    checked: load the checkpoint and the dataset, check that their feature
+    widths agree, and standardize the dataset in place with the
+    checkpoint's norm. Returns (checkpoint, dataset)."""
     ckpt = nn.load_checkpoint(args.model)
     dataset = datamod.load_csv(args.data)
+    if dataset.dim != ckpt.network.input_dim:
+        _fail(f"{args.data} has {dataset.dim} features but checkpoint {args.model} "
+              f"takes {ckpt.network.input_dim}")
     if ckpt.norm is not None:
         datamod.standardize_in_place(dataset, *ckpt.norm)
     return ckpt, dataset

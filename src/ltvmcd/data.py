@@ -23,6 +23,7 @@ a field holding a bare "\r" is quoted, as csv.writer quotes one holding
 
 import contextlib
 import csv
+import errno
 import math
 import os
 import tempfile
@@ -171,15 +172,21 @@ class StagedOutputs:
     def path(self, target):
         """Reserve a temp file beside target, with the mode open(target, "w")
         gives a new file under the current umask, and return its name.
-        ValueError if an earlier target names the same file."""
+        The OSError open(target, "w") raises if target is empty, ends in a
+        separator or is a directory; ValueError if an earlier target names
+        the same file."""
+        name = os.fspath(target)
+        if not name or name.endswith(os.sep) or os.path.isdir(name):
+            code = errno.EISDIR if name else errno.ENOENT
+            raise OSError(code, os.strerror(code), name)
         if os.path.realpath(target) in map(os.path.realpath, self.targets):
-            raise ValueError(f"{os.fspath(target)}: two outputs of this command name this file")
+            raise ValueError(f"{name}: two outputs of this command name this file")
         umask = os.umask(0o022)
         os.umask(umask)
         try:
             fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(target)), prefix=".ltvmcd-")
         except OSError as exc:  # name the target, not the temp file
-            raise type(exc)(exc.errno, exc.strerror, os.fspath(target)) from None
+            raise type(exc)(exc.errno, exc.strerror, name) from None
         self.staged.append((target, tmp))
         os.fchmod(fd, 0o666 & ~umask)  # the temp file starts at 0600
         os.close(fd)

@@ -123,9 +123,13 @@ class GradCheckReport:
     per_param: dict
 
 
-def grad_check(net, loss_kind="log_mse", tol=1e-4, batch_size=4, seed=99, step=1e-5):
+GRAD_CHECK_ROWS = 4  # rows of grad_check's random batch
+GRAD_CHECK_STEP = 1e-5  # grad_check's central-difference step
+
+
+def grad_check(net, loss_kind="log_mse", tol=1e-4, seed=99):
     """Compare analytic parameter gradients against central finite
-    differences of the loss on a small random batch.
+    differences of the loss on a random batch of GRAD_CHECK_ROWS rows.
 
     Every forward pass replays the same labeled mask stream, so dropout
     layers are a fixed deterministic function during the check. Relative
@@ -133,10 +137,10 @@ def grad_check(net, loss_kind="log_mse", tol=1e-4, batch_size=4, seed=99, step=1
     compare on finite-difference noise rather than 0/0.
     """
     x_rng = RngStream(seed, "gradcheck/x")
-    x = x_rng.normal(batch_size * net.input_dim).reshape(batch_size, net.input_dim)
+    x = x_rng.normal(GRAD_CHECK_ROWS * net.input_dim).reshape(GRAD_CHECK_ROWS, net.input_dim)
     # half zero labels, half lognormal positives: exercises both ZILN branches
-    amounts = np.exp(0.5 * x_rng.normal(batch_size))
-    zero = x_rng.uniform(batch_size) < 0.5
+    amounts = np.exp(0.5 * x_rng.normal(GRAD_CHECK_ROWS))
+    zero = x_rng.uniform(GRAD_CHECK_ROWS) < 0.5
     labels = np.where(zero, 0.0, amounts)
     if not zero.any():
         labels[0] = 0.0
@@ -158,12 +162,12 @@ def grad_check(net, loss_kind="log_mse", tol=1e-4, batch_size=4, seed=99, step=1
         worst_here = 0.0
         for idx in np.ndindex(p.shape):
             orig = p[idx]
-            p[idx] = orig + step
+            p[idx] = orig + GRAD_CHECK_STEP
             up = run_loss().value
-            p[idx] = orig - step
+            p[idx] = orig - GRAD_CHECK_STEP
             down = run_loss().value
             p[idx] = orig
-            fd = (up - down) / (2.0 * step)
+            fd = (up - down) / (2.0 * GRAD_CHECK_STEP)
             a = a_grad[idx]
             rel = abs(a - fd) / max(abs(a), abs(fd), 1e-6)
             worst_here = max(worst_here, rel)

@@ -180,6 +180,28 @@ def test_predict_names_the_first_id_whose_mean_overflows_expm1(ws, capsys):
     assert "overflows expm1" in line
 
 
+# -- predict and sweep-trials: a checkpoint of another width ----------------
+
+@pytest.mark.parametrize("norm", [True, False], ids=["norm", "no-norm"])
+@pytest.mark.parametrize("command", ["predict", "sweep-trials"])
+def test_a_checkpoint_of_another_width_is_one_line_before_any_pass(ws, capsys, monkeypatch,
+                                                                    command, norm):
+    data.save_csv(small_dataset(dim=5), ws / "d5.csv")
+    fitted = (np.zeros(3), np.ones(3)) if norm else None
+    nn.save_checkpoint(ws / "m.ckpt", nn.Checkpoint(network=nn.build_mlp(3, [4], 0.2, seed=1),
+                                                    norm=fitted))
+    passes = []  # the rows of each forward pass; load_checkpoint's probe has none
+    forward = nn.Network.forward
+    monkeypatch.setattr(nn.Network, "forward",
+                        lambda net, x, *a, **k: passes.append(len(x)) or forward(net, x, *a, **k))
+    extra = ["--trials", 2] if command == "predict" else ["--grid", "1,2", "--reps", 1]
+    line = fails_cleanly(capsys, ws, command, "--model", ws / "m.ckpt",
+                         "--data", ws / "d5.csv", *extra, "--out", ws / "p.csv")
+    assert line == (f"ltvmcd: error: {ws / 'd5.csv'} has 5 features but checkpoint "
+                    f"{ws / 'm.ckpt'} takes 3")
+    assert not any(passes)
+
+
 # -- sweep-trials, compare, ZILN and gen-data: an overflow is one line -------
 
 def out_of_range(net, ziln=False):

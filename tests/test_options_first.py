@@ -58,6 +58,7 @@ def test_the_counted_calls_happen_on_a_good_run(tmp_path, counted):
 
 
 GEN_DATA = ["gen-data", "--config", "g.json", "--out", "g.csv"]
+OUT_DIR = "sub"  # a directory in the working directory of the test
 
 # a command line whose output cannot be reserved, and the target that fails
 UNRESERVED = {
@@ -73,6 +74,10 @@ UNRESERVED = {
     "train-history-clash": (TRAIN + ["--history-out", "m2.ckpt"], "m2.ckpt"),
     "train-test-clash": (TRAIN + ["--test-out", "m2.ckpt.history.csv"], "m2.ckpt.history.csv"),
     "evaluate-curve-clash": (EVALUATE + ["--curve-out", "r.json"], "r.json"),
+    "gen-data-empty": (GEN_DATA + ["--out", ""], ""),
+    "gen-data-dir": (GEN_DATA + ["--out", OUT_DIR], OUT_DIR),
+    "gen-data-dir-slash": (GEN_DATA + ["--out", OUT_DIR + "/"], OUT_DIR + "/"),
+    "train-history-dir": (TRAIN + ["--history-out", OUT_DIR], OUT_DIR),
 }
 
 
@@ -80,17 +85,23 @@ UNRESERVED = {
 def test_an_output_that_cannot_be_reserved_fails_before_any_read(tmp_path, capsys, monkeypatch,
                                                                  counted, case):
     """Each command reserves its artifacts before it reads or generates
-    data: a missing output directory, or a second artifact naming the file
-    of an earlier one, is today's one error line, and no work is done."""
+    data: a missing output directory, a target that names no file (empty,
+    a directory, or ending in a separator), or a second artifact naming the
+    file of an earlier one, is one error line naming the target, as open()
+    gives it, and no work is done."""
     (tmp_path / "g.json").write_text('{"n": 50, "dim": 2}')
+    (tmp_path / OUT_DIR).mkdir()
+    monkeypatch.chdir(tmp_path)
     generate = cli.datamod.generate_synthetic
     monkeypatch.setattr(cli.datamod, "generate_synthetic",
                         lambda cfg: counted.append("generate_synthetic") or generate(cfg))
     argv, target = UNRESERVED[case]
-    target = tmp_path / target
     line = run_fails(capsys, *in_dir(tmp_path, argv))
     if "clash" in case:
-        assert line == f"ltvmcd: error: {target}: two outputs of this command name this file"
+        assert line == f"ltvmcd: error: {tmp_path / target}: two outputs of this command name this file"
+    elif target.startswith(OUT_DIR):
+        assert line == f"ltvmcd: error: [Errno 21] Is a directory: '{target}'"
     else:
+        target = tmp_path / target if target else target
         assert line == f"ltvmcd: error: [Errno 2] No such file or directory: '{target}'"
     assert counted == []
