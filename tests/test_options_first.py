@@ -58,9 +58,10 @@ def test_the_counted_calls_happen_on_a_good_run(tmp_path, counted):
 
 
 GEN_DATA = ["gen-data", "--config", "g.json", "--out", "g.csv"]
-OUT_DIR = "sub"  # a directory in the working directory of the test
+OUT_DIR = "sub"  # a directory beside the inputs
 
-# a command line whose output cannot be reserved, and the target that fails
+# a command line whose output cannot be reserved, and the target that fails;
+# run from the directory of the inputs, so each path is as given
 UNRESERVED = {
     "gen-data": (GEN_DATA + ["--out", "nodir/g.csv"], "nodir/g.csv"),
     "train-out": (TRAIN + ["--out", "nodir/m2.ckpt"], "nodir/m2.ckpt"),
@@ -96,12 +97,11 @@ def test_an_output_that_cannot_be_reserved_fails_before_any_read(tmp_path, capsy
     monkeypatch.setattr(cli.datamod, "generate_synthetic",
                         lambda cfg: counted.append("generate_synthetic") or generate(cfg))
     argv, target = UNRESERVED[case]
-    line = run_fails(capsys, *in_dir(tmp_path, argv))
     if "clash" in case:
-        assert line == f"ltvmcd: error: {tmp_path / target}: two outputs of this command name this file"
+        message = f"{target}: two outputs of this command name this file"
     elif target.startswith(OUT_DIR):
-        assert line == f"ltvmcd: error: [Errno 21] Is a directory: '{target}'"
+        message = f"[Errno 21] Is a directory: '{target}'"
     else:
-        target = tmp_path / target if target else target
-        assert line == f"ltvmcd: error: [Errno 2] No such file or directory: '{target}'"
+        message = f"[Errno 2] No such file or directory: '{target}'"
+    assert run_fails(capsys, *argv) == f"ltvmcd: error: {message}"
     assert counted == []
