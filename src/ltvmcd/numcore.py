@@ -110,22 +110,19 @@ class RngStream:
 class AdamState:
     """Adam accumulators for a fixed list of parameter matrices."""
 
-    learning_rate: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     step: int = 0
     m: list = field(default_factory=list)
     v: list = field(default_factory=list)
 
     @classmethod
-    def for_params(cls, params, **hyper):
-        """Zeroed accumulators for params; hyper sets any field above."""
-        return cls(**hyper, m=[np.zeros_like(p) for p in params], v=[np.zeros_like(p) for p in params])
+    def for_params(cls, params):
+        """Zeroed accumulators for params."""
+        return cls(m=[np.zeros_like(p) for p in params], v=[np.zeros_like(p) for p in params])
 
 
-def adam_step(state: AdamState, params, grads):
-    """One bias-corrected Adam update, applied to `params` in place.
+def adam_step(state: AdamState, params, grads, cfg):
+    """One bias-corrected Adam update, applied to `params` in place, with
+    the learning_rate, beta1, beta2 and eps of cfg (a trainer.TrainConfig).
 
     The caller owns the parameter arrays (training is single-writer);
     everything else in this module treats matrices as immutable.
@@ -137,14 +134,14 @@ def adam_step(state: AdamState, params, grads):
             raise ShapeError(f"gradient shape {g.shape} != param shape {p.shape}")
         ensure_finite(g, "gradient")
     state.step += 1
-    bc1 = 1.0 - state.beta1 ** state.step
-    bc2 = 1.0 - state.beta2 ** state.step
+    bc1 = 1.0 - cfg.beta1 ** state.step
+    bc2 = 1.0 - cfg.beta2 ** state.step
     for i, (p, g) in enumerate(zip(params, grads)):
-        state.m[i] = state.beta1 * state.m[i] + (1.0 - state.beta1) * g
-        state.v[i] = state.beta2 * state.v[i] + (1.0 - state.beta2) * g * g
+        state.m[i] = cfg.beta1 * state.m[i] + (1.0 - cfg.beta1) * g
+        state.v[i] = cfg.beta2 * state.v[i] + (1.0 - cfg.beta2) * g * g
         m_hat = state.m[i] / bc1
         v_hat = state.v[i] / bc2
-        p -= state.learning_rate * m_hat / (np.sqrt(v_hat) + state.eps)
+        p -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.eps)
     return params
 
 

@@ -7,7 +7,7 @@ import numpy as np
 
 from . import losses
 from .mcd import _blocks
-from .numcore import AdamState, NumericError, RngStream, ShapeError, adam_step
+from .numcore import AdamState, RngStream, ShapeError, adam_step
 
 
 @dataclass
@@ -73,8 +73,7 @@ def train(net, data, cfg: TrainConfig, loss_kind="log_mse"):
     y_va = data.labels[val_idx]
 
     params = net.params()
-    state = AdamState.for_params(params, learning_rate=cfg.learning_rate, beta1=cfg.beta1,
-                                 beta2=cfg.beta2, eps=cfg.eps)
+    state = AdamState.for_params(params)
     drop_rng = RngStream(cfg.master_seed, "train/dropout")
 
     history = []
@@ -87,11 +86,9 @@ def train(net, data, cfg: TrainConfig, loss_kind="log_mse"):
         for start in range(0, len(order), cfg.batch_size):
             rows = train_idx[order[start : start + cfg.batch_size]]
             out, tape = net.forward(data.features[rows], "train", drop_rng)
-            lv = fn(out, data.labels[rows])
-            if not math.isfinite(lv.value):
-                raise NumericError(f"non-finite training loss at epoch {epoch}, batch offset {start}")
+            lv = fn(out, data.labels[rows])  # raises NumericError on a non-finite loss
             grads, _ = net.backward(tape, lv.grad)
-            adam_step(state, params, grads)
+            adam_step(state, params, grads, cfg)
             total += lv.value * len(rows)
         train_loss = total / len(order)
         # in MCD's blocks: the bits of one whole-batch pass

@@ -12,6 +12,7 @@ from ltvmcd.numcore import (
     as_matrix,
     matmul,
 )
+from ltvmcd.trainer import TrainConfig
 
 
 class TestMatmul:
@@ -120,34 +121,35 @@ class TestRngStream:
 class TestAdam:
     def test_zero_gradient_is_noop(self):
         p = [np.array([[1.0, -2.0]])]
-        state = AdamState.for_params(p, learning_rate=0.1)
-        adam_step(state, p, [np.zeros((1, 2))])
+        state = AdamState.for_params(p)
+        adam_step(state, p, [np.zeros((1, 2))], TrainConfig(learning_rate=0.1))
         assert np.array_equal(p[0], np.array([[1.0, -2.0]]))
 
     def test_first_step_moves_by_lr(self):
         # bias correction makes m_hat = g and v_hat = g^2 on step one,
         # so the update is lr * g / (|g| + eps) ~ lr * sign(g)
         p = [np.array([[1.0]])]
-        state = AdamState.for_params(p, learning_rate=0.1)
-        adam_step(state, p, [np.array([[1.0]])])
+        state = AdamState.for_params(p)
+        adam_step(state, p, [np.array([[1.0]])], TrainConfig(learning_rate=0.1))
         assert p[0][0, 0] == pytest.approx(0.9, abs=1e-8)
 
     def test_quadratic_convergence(self):
         w = [np.array([[0.0]])]
-        state = AdamState.for_params(w, learning_rate=0.05)
+        state = AdamState.for_params(w)
+        cfg = TrainConfig(learning_rate=0.05)
         for _ in range(2000):
             grad = [2.0 * (w[0] - 3.0)]
-            adam_step(state, w, grad)
+            adam_step(state, w, grad, cfg)
         assert abs(w[0][0, 0] - 3.0) < 1e-2
 
     def test_shape_mismatch_rejected(self):
         p = [np.ones((2, 2))]
         state = AdamState.for_params(p)
         with pytest.raises(ShapeError):
-            adam_step(state, p, [np.ones((2, 3))])
+            adam_step(state, p, [np.ones((2, 3))], TrainConfig())
 
     def test_nan_gradient_rejected(self):
         p = [np.ones((1, 1))]
         state = AdamState.for_params(p)
         with pytest.raises(NumericError):
-            adam_step(state, p, [np.array([[np.nan]])])
+            adam_step(state, p, [np.array([[np.nan]])], TrainConfig())
