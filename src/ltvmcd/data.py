@@ -160,34 +160,39 @@ def generate_synthetic(cfg: SynthConfig) -> Dataset:
 
 
 class StagedOutputs:
-    """The (target, temp file) pairs of one staged_outputs() block."""
+    """The (target, resolved target, temp file) triples of one
+    staged_outputs() block."""
 
     def __init__(self):
         self.staged = []
 
     @property
     def targets(self):
-        return [target for target, _ in self.staged]
+        return [target for target, _, _ in self.staged]
 
     def path(self, target):
-        """Reserve a temp file beside target, with the mode open(target, "w")
-        gives a new file under the current umask, and return its name.
-        The OSError open(target, "w") raises if target is empty, ends in a
-        separator or is a directory; ValueError if an earlier target names
-        the same file."""
+        """Reserve a temp file beside the file target names once links are
+        followed, with the mode open(target, "w") gives a new file under the
+        current umask, and return its name. The OSError open(target, "w")
+        raises if target is empty, ends in a separator or is a directory;
+        ValueError if it is an existing file that is not a regular one, or
+        if an earlier target names the same file."""
         name = os.fspath(target)
         if not name or name.endswith(os.sep) or os.path.isdir(name):
             code = errno.EISDIR if name else errno.ENOENT
             raise OSError(code, os.strerror(code), name)
-        if os.path.realpath(target) in map(os.path.realpath, self.targets):
+        real = os.path.realpath(name)
+        if os.path.lexists(real) and not os.path.isfile(real):
+            raise ValueError(f"{name}: not a regular file")
+        if real in (resolved for _, resolved, _ in self.staged):
             raise ValueError(f"{name}: two outputs of this command name this file")
         umask = os.umask(0o022)
         os.umask(umask)
         try:
-            fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(target)), prefix=".ltvmcd-")
+            fd, tmp = tempfile.mkstemp(dir=os.path.dirname(real), prefix=".ltvmcd-")
         except OSError as exc:  # name the target, not the temp file
             raise type(exc)(exc.errno, exc.strerror, name) from None
-        self.staged.append((target, tmp))
+        self.staged.append((target, real, tmp))
         os.fchmod(fd, 0o666 & ~umask)  # the temp file starts at 0600
         os.close(fd)
         return tmp
@@ -196,15 +201,16 @@ class StagedOutputs:
 @contextlib.contextmanager
 def staged_outputs():
     """Yield a StagedOutputs. When the block completes, each temp file
-    replaces its target in staging order, one rename each; if it raises,
-    every temp file is removed and no target is touched."""
+    replaces its resolved target in staging order, one rename each, so a
+    link stays a link to the new bytes; if it raises, every temp file is
+    removed and no target is touched."""
     out = StagedOutputs()
     try:
         yield out
-        for target, tmp in out.staged:
-            os.replace(tmp, target)
+        for _, real, tmp in out.staged:
+            os.replace(tmp, real)
     except BaseException:  # a temp file already renamed is gone
-        for _, tmp in out.staged:
+        for _, _, tmp in out.staged:
             with contextlib.suppress(FileNotFoundError):
                 os.unlink(tmp)
         raise

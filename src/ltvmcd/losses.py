@@ -53,6 +53,7 @@ def _check_labels(labels):
     return labels
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflow fails the finite checks
 def log_mse(output, labels_raw) -> LossValue:
     """Mean squared error between the width-1 output and log1p(label)."""
     output = np.asarray(output, dtype=np.float64)
@@ -81,6 +82,7 @@ def _ziln_parts(head):
     return logit, mu, s, sigma, sigma_raw >= SIGMA_FLOOR
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflow fails the finite checks
 def ziln_loss(head, labels_raw) -> LossValue:
     """Negative log-likelihood of the zero-inflated lognormal model.
 

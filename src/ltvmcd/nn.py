@@ -469,14 +469,14 @@ def _checkpoint_from_doc(doc):
     for name, p in net.named_params():
         if not np.isfinite(p).all():
             raise ValueError(f"{name} must be finite")
-    loss_kind = doc.get("loss", "log_mse")
+    loss_kind = doc["loss"]
     width = losses.head_width(loss_kind)
     # a zero-row pass runs every layer's shape check on the chain of widths
     out, _ = net.forward(np.zeros((0, net.input_dim)), "eval")
     if out.shape[1] != width:
         raise ValueError(f"head width {out.shape[1]} does not fit loss {loss_kind!r}, "
                          f"which needs {width}")
-    norm = doc.get("norm")
+    norm = doc["norm"]
     if norm is not None:
         norm = tuple(np.asarray(_numbers(norm[k], f"norm.{k}"), dtype=np.float64) for k in ("mean", "std"))
         if norm[0].shape != (net.input_dim,) or norm[1].shape != (net.input_dim,):

@@ -1,5 +1,8 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -276,6 +279,13 @@ class TestParsing:
             run("--version")
         assert exc.value.code == 0
         assert cli.VERSION in capsys.readouterr().out
+
+    def test_python_m_ltvmcd_runs_the_cli(self):
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        proc = subprocess.run([sys.executable, "-m", "ltvmcd", "--version"],
+                              env={**os.environ, "PYTHONPATH": src},
+                              capture_output=True, text=True, timeout=60)
+        assert (proc.returncode, proc.stdout) == (0, "ltvmcd 0.1.0\n"), proc.stderr
 
     def test_bad_env_seed(self, ws, tmp_path, monkeypatch):
         monkeypatch.setenv("LTVMCD_SEED", "not-a-number")

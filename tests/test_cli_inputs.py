@@ -5,9 +5,10 @@ its dataclass field's annotation. Also: predict, sweep-trials and compare
 refuse a mean whose expm1 overflows, JSON nested too deeply is an error
 naming the file, a MemoryError is one line, a trial count too large fails
 at its first array, a feature whose train-split std overflows, a ZILN
-prediction or gen-data amount that overflows and an overflow inside a
-network are one line with no numpy warning, --z-grid is bounded, and
-the manifest records the resolved settings."""
+prediction or gen-data amount that overflows, an overflow inside a
+network and a training loss that overflows are one line with no numpy
+warning, evaluate names an empty or short predictions file, --z-grid is
+bounded, and the manifest records the resolved settings."""
 
 import contextlib
 import io
@@ -311,6 +312,21 @@ def test_an_overflow_inside_the_network_is_one_line(ws, capsys, arch):
     assert line == "ltvmcd: error: matmul result contains NaN or Inf"
 
 
+@pytest.mark.parametrize("loss", ["log_mse", "ziln"])
+def test_a_training_loss_that_overflows_is_one_line(ws, capsys, loss):
+    """A learning rate of 1e200 sends the weights out of range on the first
+    Adam step, so the next loss overflows a double."""
+    data.save_csv(small_dataset(n=300), ws / "big.csv")
+    (ws / "t.json").write_text(json.dumps(
+        {"train": {"learning_rate": 1e200, "epochs": 2, "batch_size": 64},
+         "model": {"hidden_dims": []}}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        line = fails_cleanly(capsys, ws, "train", "--data", ws / "big.csv", "--model", "mlp",
+                             "--loss", loss, "--config", ws / "t.json", "--out", ws / "m.ckpt")
+    assert line == f"ltvmcd: error: {loss} loss is not finite"
+
+
 # -- evaluate --z-grid -------------------------------------------------------
 
 @pytest.fixture
@@ -327,6 +343,30 @@ def test_evaluate_rejects_a_z_grid_out_of_bounds(predictions, capsys, grid):
                          "--data", ws / "d.csv", "--k", 0.2, "--z-grid", grid,
                          "--out", ws / "r.json")
     assert line.startswith("ltvmcd: error: z grid needs 0 <= start <= stop <= 1")
+
+
+def test_evaluate_rejects_a_z_grid_that_is_not_numbers(predictions, capsys):
+    ws = predictions
+    line = fails_cleanly(capsys, ws, "evaluate", "--preds", ws / "p.csv", "--data", ws / "d.csv",
+                         "--z-grid", "a:b:c", "--out", ws / "r.json")
+    assert line == "ltvmcd: error: z grid fields must be numbers, got 'a:b:c'"
+
+
+def test_evaluate_rejects_an_empty_predictions_file(predictions, capsys):
+    ws = predictions
+    (ws / "p.csv").write_text("")
+    line = fails_cleanly(capsys, ws, "evaluate", "--preds", ws / "p.csv", "--data", ws / "d.csv",
+                         "--out", ws / "r.json")
+    assert line == f"ltvmcd: error: {ws / 'p.csv'}: empty predictions file"
+
+
+def test_evaluate_rejects_a_predictions_file_one_row_short(predictions, capsys):
+    ws = predictions
+    lines = (ws / "p.csv").read_text().splitlines(keepends=True)
+    (ws / "p.csv").write_text("".join(lines[:-1]))
+    line = fails_cleanly(capsys, ws, "evaluate", "--preds", ws / "p.csv", "--data", ws / "d.csv",
+                         "--out", ws / "r.json")
+    assert line == f"ltvmcd: error: {len(lines) - 2} predictions vs {len(lines) - 1} data rows"
 
 
 def test_evaluate_accepts_the_finest_full_z_grid(predictions):

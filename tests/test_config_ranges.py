@@ -19,6 +19,10 @@ RANGES = {
                         "config.train: eps must be > 0, got 0.0"),
     "lr_negative": ({"train": {"learning_rate": -1e-3}},
                     "config.train: learning_rate must be >= 0, got -0.001"),
+    "batch_size_zero": ({"train": {"batch_size": 0}}, "config.train: batch_size must be >= 1"),
+    "patience_zero": ({"train": {"patience": 0}}, "config.train: patience must be >= 1 or None"),
+    "test_fraction_above_one": ({"test_fraction": 1.5},
+                                "config: test_fraction must be in (0, 1), got 1.5"),
     "dropout_above_one": ({"model": {"dropout": 1.5}},
                           "config.model: dropout must be in [0, 1), got 1.5"),
     "dropout_one": ({"model": {"dropout": 1}}, "config.model: dropout must be in [0, 1), got 1.0"),

@@ -108,6 +108,14 @@ def unknown_arch(doc):
     doc["arch"] = "resnet"
 
 
+def without_norm(doc):
+    del doc["norm"]
+
+
+def without_loss(doc):
+    del doc["loss"]
+
+
 def short_norm(doc):
     doc["norm"]["mean"] = [0.0, 0.0]
 
@@ -116,6 +124,8 @@ def short_norm(doc):
     (without_arch, "missing key 'arch'"),
     (without_kind, "missing key 'kind'"),
     (unknown_arch, "unknown architecture 'resnet'"),
+    (without_norm, "missing key 'norm'"),
+    (without_loss, "missing key 'loss'"),
     (short_norm, "norm"),
     pytest.param(lambda doc: doc["stack"][-1].update(w=doc["stack"][-1]["w"] * 3,
                                                      b=doc["stack"][-1]["b"] * 3),

@@ -2,6 +2,8 @@
 value before it reads a file or trains: a bad value is its one error line,
 with no checkpoint, dataset or predictions file read and no model trained."""
 
+import os
+
 import pytest
 
 from ltvmcd import cli
@@ -59,6 +61,8 @@ def test_the_counted_calls_happen_on_a_good_run(tmp_path, counted):
 
 GEN_DATA = ["gen-data", "--config", "g.json", "--out", "g.csv"]
 OUT_DIR = "sub"  # a directory beside the inputs
+DIR_LINK = "dir-link"  # a symbolic link to OUT_DIR
+FIFO = "fifo.csv"  # a named pipe beside the inputs
 
 # a command line whose output cannot be reserved, and the target that fails;
 # run from the directory of the inputs, so each path is as given
@@ -79,6 +83,8 @@ UNRESERVED = {
     "gen-data-dir": (GEN_DATA + ["--out", OUT_DIR], OUT_DIR),
     "gen-data-dir-slash": (GEN_DATA + ["--out", OUT_DIR + "/"], OUT_DIR + "/"),
     "train-history-dir": (TRAIN + ["--history-out", OUT_DIR], OUT_DIR),
+    "gen-data-dir-link": (GEN_DATA + ["--out", DIR_LINK], DIR_LINK),
+    "gen-data-fifo": (GEN_DATA + ["--out", FIFO], FIFO),
 }
 
 
@@ -87,11 +93,14 @@ def test_an_output_that_cannot_be_reserved_fails_before_any_read(tmp_path, capsy
                                                                  counted, case):
     """Each command reserves its artifacts before it reads or generates
     data: a missing output directory, a target that names no file (empty,
-    a directory, or ending in a separator), or a second artifact naming the
-    file of an earlier one, is one error line naming the target, as open()
-    gives it, and no work is done."""
+    a directory or a link to one, or ending in a separator), an existing
+    target that is not a regular file, or a second artifact naming the file
+    of an earlier one, is one error line naming the target, as open() gives
+    it, and no work is done."""
     (tmp_path / "g.json").write_text('{"n": 50, "dim": 2}')
     (tmp_path / OUT_DIR).mkdir()
+    (tmp_path / DIR_LINK).symlink_to(OUT_DIR)
+    os.mkfifo(tmp_path / FIFO)
     monkeypatch.chdir(tmp_path)
     generate = cli.datamod.generate_synthetic
     monkeypatch.setattr(cli.datamod, "generate_synthetic",
@@ -99,7 +108,9 @@ def test_an_output_that_cannot_be_reserved_fails_before_any_read(tmp_path, capsy
     argv, target = UNRESERVED[case]
     if "clash" in case:
         message = f"{target}: two outputs of this command name this file"
-    elif target.startswith(OUT_DIR):
+    elif target == FIFO:
+        message = f"{target}: not a regular file"
+    elif target.startswith((OUT_DIR, DIR_LINK)):
         message = f"[Errno 21] Is a directory: '{target}'"
     else:
         message = f"[Errno 2] No such file or directory: '{target}'"

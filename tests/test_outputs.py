@@ -1,12 +1,14 @@
 """One output commit per command: a command's artifacts and manifest reach
 disk together, only when it succeeds, so a failing command leaves its
-directory as it found it; two outputs that name one file are an error.
+directory as it found it; two outputs that name one file are an error,
+and an output that is a link stays a link to the new bytes.
 Also: evaluate checks raw_mean against its mean, and MCD on a network
 without dropout keeps no n x T matrix unless asked to."""
 
 import csv
 import json
 import math
+import os
 import tracemalloc
 
 import numpy as np
@@ -98,6 +100,20 @@ def test_staged_block_commits_every_target_in_order(tmp_path):
         assert out.targets == [tmp_path / "b.txt", tmp_path / "a.txt"]
         assert not (tmp_path / "a.txt").exists()
     assert snapshot(tmp_path) == {"a.txt": b"a.txt", "b.txt": b"b.txt"}
+
+
+def test_an_output_that_is_a_link_stays_a_link_to_the_new_bytes(tmp_path):
+    (tmp_path / "g.json").write_text('{"n": 5, "dim": 2}')
+    (tmp_path / "real.csv").write_text("old")
+    link = tmp_path / "link.csv"
+    link.symlink_to("real.csv")
+    assert run("gen-data", "--config", tmp_path / "g.json", "--out", link) == 0
+    assert link.is_symlink() and os.readlink(link) == "real.csv"
+    assert (tmp_path / "real.csv").read_text().startswith("id,f0,f1,label\n")
+    doc = json.loads((tmp_path / "link.csv.manifest.json").read_text())
+    assert doc["artifacts"] == [str(link)]
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "g.json", "link.csv", "link.csv.manifest.json", "real.csv"]
 
 
 def test_successful_train_lists_its_artifacts_and_leaves_no_temp(inputs):
