@@ -4,11 +4,12 @@ prediction, evaluation, trial-count sweeps, and a model comparison table.
 Every command is a pure function of its inputs, config, and master seed,
 so re-running a command reproduces its artifacts byte for byte. Each
 cmd_*(args, out) checks its options, reserves out.path(target) for every
-artifact before its first read (so a bad output path fails before any
-work), writes each artifact there and returns (resolved config, seed);
-main() stages the manifest <out>.manifest.json last and commits them all
-together, only if the command succeeded. The manifest's duration field
-is wall-clock and is the one part of a run that is not reproducible.
+artifact and then for the manifest <out>.manifest.json before its first
+read (so a bad output path fails before any work), writes each artifact
+there and returns (resolved config, seed); main() writes the manifest,
+staged last, and commits them all together, only if the command
+succeeded. The manifest's duration field is wall-clock and is the one
+part of a run that is not reproducible.
 
 Seed resolution order: LTVMCD_SEED env var, then --seed, then the config
 file, then 0.
@@ -147,10 +148,17 @@ def _expm1_overflows(ids, means, i):
           "the model's predictions are out of range")
 
 
+def _reserve_manifest(args, out):
+    """Reserve <out>.manifest.json after the command's other outputs and
+    before its first read; main writes it there once the command is done."""
+    args.manifest_path = out.path(args.out + ".manifest.json")
+
+
 def cmd_gen_data(args, out):
     cfg = _load_config(datamod.SynthConfig, args.config)
     cfg = replace(cfg, master_seed=_resolve_seed(args.seed, cfg.master_seed))
     path = out.path(args.out)
+    _reserve_manifest(args, out)
     dataset = datamod.generate_synthetic(cfg)
     datamod.save_csv(dataset, path)
     positives = float(np.mean(dataset.labels > 0))
@@ -180,6 +188,7 @@ def cmd_train(args, out):
     ckpt_path = out.path(args.out)
     history_path = out.path(args.history_out or args.out + ".history.csv")
     test_path = out.path(args.test_out) if args.test_out else None
+    _reserve_manifest(args, out)
     train_std, test_raw = _split_data(args, file_cfg, seed)
     net = file_cfg.model.build(args.model, train_std.dim, losses.head_width(args.loss), seed)
     net, history = trainer.train(net, train_std, file_cfg.train, args.loss)
@@ -212,6 +221,7 @@ def cmd_predict(args, out):
     seed = _resolve_seed(args.seed, 0)
     cfg = McdConfig(trials=args.trials, master_seed=seed, batch_size=args.batch_size)
     path = out.path(args.out)
+    _reserve_manifest(args, out)
     ckpt, ds = _prepare_inference(args)
     result = mcd_predict(ckpt.network, ds, cfg, loss_kind=ckpt.loss_kind,
                          keep_trials=args.keep_trials)
@@ -305,6 +315,7 @@ def cmd_evaluate(args, out):
         stem = args.out[:-5] if args.out.endswith(".json") else args.out
         curve_path = stem + ".curve.csv"
     report_path, curve_path = out.path(args.out), out.path(curve_path)
+    _reserve_manifest(args, out)
     result, raw_means = _read_predictions(args.preds)
     dataset = datamod.load_csv(args.data)
     if len(result) != dataset.n:
@@ -362,6 +373,7 @@ def cmd_sweep_trials(args, out):
     # one run at the largest T per rep; each smaller T reads its first trials
     cfg = McdConfig(trials=max(grid), master_seed=seed, batch_size=args.batch_size)
     path = out.path(args.out)
+    _reserve_manifest(args, out)
     ckpt, ds = _prepare_inference(args)
 
     labels = ds.labels
@@ -394,6 +406,7 @@ def cmd_compare(args, out):
     mcd_cfg = McdConfig(trials=args.trials)  # checked before the data is read
     file_cfg, seed = _train_file(args)
     path = out.path(args.out)
+    _reserve_manifest(args, out)
     train_std, test_std = _split_data(args, file_cfg, seed)
     mcd_cfg = replace(mcd_cfg, master_seed=seed)
     datamod.standardize_in_place(test_std, train_std.norm_mean, train_std.norm_std)
@@ -522,9 +535,10 @@ def main(argv=None):
         with datamod.staged_outputs() as out:
             config, seed = args.func(args, out)
             manifest = {"command": args.command, "config": config, "master_seed": seed,
-                        "artifacts": out.targets, "version": VERSION,
+                        "artifacts": out.targets[:-1],  # the manifest is staged last
+                        "version": VERSION,
                         "duration_seconds": round(time.time() - started, 3)}
-            _write_json(out.path(args.out + ".manifest.json"), manifest)
+            _write_json(args.manifest_path, manifest)
     except (ValueError, OSError, MemoryError) as exc:
         print(f"ltvmcd: error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1

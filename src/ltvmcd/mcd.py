@@ -5,9 +5,10 @@ Trial j draws its dropout masks from a stream labeled "mcd/{j}" under
 the run's master seed, so any trial can be replayed in isolation: one
 mask per layer per trial, shared across all samples. The rows run in
 blocks, outermost, with the T trials inside each block. Each trial's
-stream is built once per call; the first block draws from it, and every
-later block replays those draws, so all blocks see the masks a new
-stream with that label would give, regardless of inference batching.
+stream is built once per call in the process that runs the trial; its
+first pass draws from it, and every later block replays those draws, so
+all blocks see the masks a new stream with that label would give,
+regardless of inference batching.
 With batch_size 0 the blocks start at multiples of BLOCK_ROWS and hold
 BLOCK_ROWS rows, and a remainder of BLOCK_ROWS // 2 rows or more is a
 block of its own, while a shorter one joins the last block: on the BLAS
@@ -20,16 +21,21 @@ for max(grid) trials per rep, not for the sum of its grid. The part of a
 pass no dropout acts on (Network.shared_part: a DCNv2's cross branch) is
 computed once per block for its T passes to read.
 
-A block's passes run on the CPUs of the process's affinity mask, at
-most MAX_WORKERS of them: the calling thread and one helper thread per
-further CPU (at most T - 1) each take the lowest trial not yet taken. A
-block whose passes are short (under THREADED_MACS multiply-adds each)
-runs on the calling thread alone. Trial j writes only column j of the
-block and replays only its own draws, and the block's moments are taken
-once all of its passes are done, so the worker count changes no output
-bit and no error. With one CPU no thread starts. The BLAS is best
-pinned to one thread, or the workers' BLAS threads oversubscribe the
-CPUs.
+A call's passes run on up to MAX_WORKERS processes: trial j runs on
+worker j % workers over every block, worker 0 being the calling process
+and each other worker a child forked for this call alone, which sends
+each block's columns to the caller through a pipe. The caller takes a
+block's moments once it holds all T columns. A call forks only when its
+work (rows x the network's weights x T multiply-adds) reaches
+FORKED_MACS, the affinity mask holds 2 CPUs or more, and the process has
+no other OS thread: a fork copies the calling thread alone, so a lock
+that another thread holds (an OpenBLAS pool's, say) stays held in the
+child. So with the BLAS on more than one thread no call forks. A child
+whose pass raises, that cannot start or that dies leaves its trials to
+the caller, which starts a new stream for each trial whose draws it does
+not hold (the same masks), and the caller raises the error a serial loop
+over (block, trial) raises first. So the worker count changes no output
+bit and no error, and no child outlives the call.
 
 The result holds, as columns, the mean and sample standard deviation of
 each sample's trial vector in the model's output space. For log-MSE
@@ -43,8 +49,9 @@ same bits either way. A mean or std that is not finite is an error
 naming its sample.
 """
 
+import contextlib
 import os
-import threading
+import signal
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,20 +65,27 @@ from .numcore import NumericError, RngStream, ShapeError
 # the whole-batch pass.
 BLOCK_ROWS = 1024
 
-# The most threads a block's passes run on: the count whose speed and peak
-# RSS were measured (a 2-CPU host). Each thread holds one pass's
+# The most processes a call's passes run on: the count whose speed and
+# peak RSS were measured (a 2-CPU host). Each holds one pass's
 # activations, so a larger affinity mask runs no more until measured.
 MAX_WORKERS = 2
 
-# Multiply-adds of one pass (block rows x the network's weights) below which
-# a block's passes run on the calling thread alone. A short pass is mostly
-# GIL-bound Python between small numpy calls, so a second thread gains
-# little or loses. On that host, with the BLAS on one thread, two threads
-# were slower than one up to 1.5M per pass, gained nothing that held up at
-# about 3M (an MLP [128, 64, 32] on 256 rows; a DCNv2 with deep [64, 32] on
-# 1000, whose sweep_dcnv2 benchmark runs were no faster), and cut 29% and
-# 43% of a block's time at 5.9M and 11.8M (that MLP on 512 and 1024 rows).
-THREADED_MACS = 4_000_000
+# Multiply-adds of a call's passes (rows x the network's weights x T)
+# below which they run on the calling process alone: the fork, the pipe
+# and the reaping of the child cost about 4 ms, which a short call does
+# not win back. On that host, with the BLAS on one thread, two processes
+# against one (medians of 21 interleaved calls) took an MLP [128, 64, 32]
+# 1.19x at 95M, 1.00x at 118M and 0.91x at 142M; a DCNv2 with deep
+# [64, 32] 1.06x at 70M, 0.89x at 94M and 0.81x at 117M.
+FORKED_MACS = 120_000_000
+
+# The bytes a child's pipe holds, where the OS lets a process size it: the
+# most an unprivileged one may ask for by default on Linux. So a child
+# runs blocks ahead of the caller, which reads a block's columns only
+# once its own passes over the block are done; at the 64 KiB default, a
+# 1024-row block of 32 trials (256 KiB) held the child until then, and
+# a T = 64 MLP call over 10k rows took 10-15% longer.
+PIPE_BYTES = 1 << 20
 
 
 @dataclass
@@ -168,28 +182,55 @@ def mcd_predict(net, data, cfg: McdConfig, loss_kind="log_mse", keep_trials=Fals
     buffer = np.empty((max((stop - start for start, stop in blocks), default=0), passes))
     trials = np.empty((n, cfg.trials)) if keep_trials else None
     moments = [(np.empty(n), np.empty(n)) for _ in counts]
-    kept = [[] for _ in range(passes)]  # trial j's uniform draws, in order
+    kept = [None] * passes  # trial j's uniform draws, once this process holds them
     shared_part = getattr(net, "shared_part", lambda rows: None)
     # a pass's multiply-adds per row: the size of every weight matrix
     macs = sum(p.size for p in getattr(net, "params", list)() if p.ndim == 2)
-    for b, (start, stop) in enumerate(blocks):
-        rows, block = x[start:stop], buffer[: stop - start]
+    workers = _workers(passes, n * macs * passes)
+
+    def enter(start, stop):  # a block's rows, its buffer and the passes' shared part
+        rows = x[start:stop]
         shared = shared_part(rows)
-        extra = {} if shared is None else {"shared": shared}
+        return rows, buffer[: stop - start], {} if shared is None else {"shared": shared}
 
-        def run(j):  # trial j's pass over this block, done before the next block
-            rng = None
-            if stochastic:
-                stream = RngStream(cfg.master_seed, f"mcd/{j}") if b == 0 else None
-                rng = _Draws(kept[j], stream)
-            out, _ = net.forward(rows, mode, rng, **extra)
-            block[:, j] = point(out)
+    def run(j, rows, block, extra):  # trial j's pass over one block
+        rng = None
+        if stochastic:
+            stream = None
+            if kept[j] is None:  # this process's first pass of trial j
+                kept[j], stream = [], RngStream(cfg.master_seed, f"mcd/{j}")
+            rng = _Draws(kept[j], stream)
+        out, _ = net.forward(rows, mode, rng, **extra)
+        block[:, j] = point(out)
 
-        _deal(_workers(passes, (stop - start) * macs), passes, run)
-        for t, (means, stds) in zip(counts, moments):
-            means[start:stop], stds[start:stop] = _moments(np.ascontiguousarray(block[:, :t]))
-        if keep_trials:
-            trials[start:stop] = block  # one eval pass fills every column
+    def work(w, fd):  # worker w's passes in its child, a block's columns at a time
+        for start, stop in blocks:
+            rows, block, extra = enter(start, stop)
+            for j in range(w, passes, workers):
+                run(j, rows, block, extra)
+            _send(fd, block[:, w::workers])
+
+    with _forked(workers, work) as children:
+        own = [j for j in range(passes) if j % workers not in children]
+        for start, stop in blocks:
+            rows, block, extra = enter(start, stop)
+            failure = _first_failure(own, lambda j: run(j, rows, block, extra))
+            for w, fd in list(children.items()):
+                theirs = range(w, passes, workers)
+                columns = _receive(fd, (stop - start, len(theirs)))
+                if columns is not None:
+                    block[:, w::workers] = columns
+                    continue
+                del children[w]  # its trials are the caller's from this block on
+                own = sorted([*own, *theirs])
+                below = [j for j in theirs if failure is None or j < failure[0]]
+                failure = _first_failure(below, lambda j: run(j, rows, block, extra)) or failure
+            if failure:
+                raise failure[1]
+            for t, (means, stds) in zip(counts, moments):
+                means[start:stop], stds[start:stop] = _moments(np.ascontiguousarray(block[:, :t]))
+            if keep_trials:
+                trials[start:stop] = block  # one eval pass fills every column
     results = tuple(_result(list(data.ids), means, stds, t,
                             None if trials is None else trials[:, :t])
                     for t, (means, stds) in zip(counts, moments))
@@ -210,65 +251,115 @@ def _blocks(n, batch_size):
     return list(zip(starts, starts[1:] + [n]))
 
 
-def _workers(passes, pass_macs):
-    """The threads that run a block's passes of pass_macs multiply-adds
-    each: one per CPU this process may run on, at most MAX_WORKERS and at
-    most one per pass; one when the passes are under THREADED_MACS."""
-    if pass_macs < THREADED_MACS:
+def _workers(passes, work):
+    """The processes that run a call's passes of work multiply-adds in
+    all: one per CPU of the affinity mask, at most MAX_WORKERS and at most
+    one per pass; one when work is under FORKED_MACS, and one unless
+    /proc/self/task shows this process running on one OS thread."""
+    if work < FORKED_MACS:
         return 1
     try:
         cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # a platform without affinity masks
-        cpus = os.cpu_count() or 1
-    return min(cpus, passes, MAX_WORKERS)
+        threads = len(os.listdir("/proc/self/task"))
+    except (AttributeError, OSError):  # no affinity masks or no /proc: no fork
+        return 1
+    return min(cpus, passes, MAX_WORKERS) if threads == 1 else 1
 
 
-def _deal(workers, passes, run):
-    """Call run(j) for every j < passes, on the calling thread and on
-    workers - 1 helper threads that live for this call only, each taking
-    the lowest j not yet taken. Once a call raises, no further call
-    starts; after every helper has returned, the error of the lowest
-    failing j is raised. Every lower j was taken before it and ran, so
-    that is the error a serial loop raises. If the calling thread itself
-    is interrupted, or a helper fails to start, the helpers take no
-    further j and are joined before the exception propagates."""
-    lock, errors = threading.Lock(), {}
-    untaken = list(range(passes - 1, -1, -1))  # popped from the end: lowest j first
-
-    def drain():
-        while True:
-            with lock:
-                if errors or not untaken:
-                    return
-                j = untaken.pop()
-            try:
-                run(j)
-            except BaseException as exc:  # raised on the calling thread below
-                errors[j] = exc
-
-    helpers = []
+@contextlib.contextmanager
+def _forked(workers, work):
+    """Fork a child for each worker w in [1, workers) that runs work(w, fd),
+    fd the write end of its pipe to the calling process, and ends with
+    os._exit. A child whose pipe or fork fails is skipped. Yields
+    {w: read end} for the children that started; on exit each of them is
+    killed and reaped, whatever its state."""
+    started = {}  # w: (pid, read end)
     try:
-        for _ in range(workers - 1):
-            helper = threading.Thread(target=drain)
-            helper.start()
-            helpers.append(helper)
-        drain()
+        for w in range(1, workers):
+            child = _start(lambda fd, w=w: work(w, fd))
+            if child is not None:
+                started[w] = child
+        yield {w: fd for w, (_, fd) in started.items()}
     finally:
-        with lock:
-            untaken.clear()
-        for helper in helpers:
-            helper.join()
-    if errors:
-        raise errors[min(errors)]
+        for pid, fd in started.values():
+            os.close(fd)
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
+def _start(body):
+    """Fork a child that runs body(fd), fd the write end of a new pipe
+    of PIPE_BYTES, and ends with os._exit. Signals stay blocked from the
+    fork until the child is inside its try, so no handler can unwind the
+    child into the caller's stack. Returns (pid, read end), or None if the
+    pipe or the fork fails."""
+    import fcntl  # POSIX only; _workers forks on Linux alone
+
+    try:
+        read_fd, write_fd = os.pipe()
+    except OSError:
+        return None
+    with contextlib.suppress(OSError):  # where pipes are capped lower, the default size
+        fcntl.fcntl(write_fd, fcntl.F_SETPIPE_SZ, PIPE_BYTES)
+    mask = signal.pthread_sigmask(signal.SIG_BLOCK, signal.valid_signals())
+    try:
+        pid = os.fork()
+        if pid == 0:
+            try:
+                os.close(read_fd)  # a write to a caller that is gone fails, ending the child
+                signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+                body(write_fd)
+            finally:
+                os._exit(0)  # the caller reads the pipe, never the status
+    except OSError:
+        os.close(read_fd)
+        return None
+    finally:
+        os.close(write_fd)
+        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+    return pid, read_fd
+
+
+def _send(fd, columns):
+    """Write the float64 array columns to the pipe fd, in C order."""
+    view = memoryview(np.ascontiguousarray(columns)).cast("B")
+    while view:
+        view = view[os.write(fd, view):]
+
+
+def _receive(fd, shape):
+    """The float64 array of this shape read from the pipe fd, or None if
+    the writer ended before sending all of it."""
+    columns = np.empty(shape)
+    view = memoryview(columns).cast("B")
+    while view:
+        got = os.readv(fd, [view])
+        if not got:
+            return None
+        view = view[got:]
+    return columns
+
+
+def _first_failure(trials, run):
+    """Call run(j) for each j of trials in order, up to the first that
+    raises; returns (j, its exception), or None if none raised."""
+    for j in trials:
+        try:
+            run(j)
+        except Exception as exc:  # the caller raises the lowest trial's
+            return j, exc
+    return None
 
 
 class _Draws:
-    """The stream of one pass of a trial. The pass over the first block
-    takes its draws from the trial's new RngStream and appends them to
-    kept; every later pass reads kept back in order, which is what a new
-    stream with that label would give it. So a call builds one stream per
-    trial and holds one per worker at a time. Dropout asks a stream for
-    uniform() only."""
+    """The stream of one pass of a trial. A process's first pass of a
+    trial takes its draws from the trial's new RngStream and appends them
+    to kept; each later pass there reads kept back in order. Every pass
+    draws the same uniforms whatever its rows, so that is what a new
+    stream with that label would give it: a process builds one stream per
+    trial it runs and holds one at a time, and a caller that takes over a
+    dead worker's trial in a later block starts it afresh with the same
+    masks. Dropout asks a stream for uniform() only."""
 
     def __init__(self, kept, stream=None):
         self._kept = kept

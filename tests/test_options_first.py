@@ -63,6 +63,7 @@ GEN_DATA = ["gen-data", "--config", "g.json", "--out", "g.csv"]
 OUT_DIR = "sub"  # a directory beside the inputs
 DIR_LINK = "dir-link"  # a symbolic link to OUT_DIR
 FIFO = "fifo.csv"  # a named pipe beside the inputs
+MANIFEST_DIR = "x.csv.manifest.json"  # a directory where the manifest of --out x.csv goes
 
 # a command line whose output cannot be reserved, and the target that fails;
 # run from the directory of the inputs, so each path is as given
@@ -85,20 +86,23 @@ UNRESERVED = {
     "train-history-dir": (TRAIN + ["--history-out", OUT_DIR], OUT_DIR),
     "gen-data-dir-link": (GEN_DATA + ["--out", DIR_LINK], DIR_LINK),
     "gen-data-fifo": (GEN_DATA + ["--out", FIFO], FIFO),
+    "gen-data-manifest-dir": (GEN_DATA + ["--out", "x.csv"], MANIFEST_DIR),
+    "predict-manifest-dir": (PREDICT + ["--out", "x.csv"], MANIFEST_DIR),
 }
 
 
 @pytest.mark.parametrize("case", sorted(UNRESERVED))
 def test_an_output_that_cannot_be_reserved_fails_before_any_read(tmp_path, capsys, monkeypatch,
                                                                  counted, case):
-    """Each command reserves its artifacts before it reads or generates
-    data: a missing output directory, a target that names no file (empty,
-    a directory or a link to one, or ending in a separator), an existing
-    target that is not a regular file, or a second artifact naming the file
-    of an earlier one, is one error line naming the target, as open() gives
-    it, and no work is done."""
+    """Each command reserves its artifacts, its manifest last, before it
+    reads or generates data: a missing output directory, a target that
+    names no file (empty, a directory or a link to one, or ending in a
+    separator), an existing target that is not a regular file, or a second
+    artifact naming the file of an earlier one, is one error line naming
+    the target, as open() gives it, and no work is done."""
     (tmp_path / "g.json").write_text('{"n": 50, "dim": 2}')
     (tmp_path / OUT_DIR).mkdir()
+    (tmp_path / MANIFEST_DIR).mkdir()
     (tmp_path / DIR_LINK).symlink_to(OUT_DIR)
     os.mkfifo(tmp_path / FIFO)
     monkeypatch.chdir(tmp_path)
@@ -110,7 +114,7 @@ def test_an_output_that_cannot_be_reserved_fails_before_any_read(tmp_path, capsy
         message = f"{target}: two outputs of this command name this file"
     elif target == FIFO:
         message = f"{target}: not a regular file"
-    elif target.startswith((OUT_DIR, DIR_LINK)):
+    elif target.startswith((OUT_DIR, DIR_LINK, MANIFEST_DIR)):
         message = f"[Errno 21] Is a directory: '{target}'"
     else:
         message = f"[Errno 2] No such file or directory: '{target}'"
