@@ -315,14 +315,14 @@ def test_more_workers_than_cores_run_every_trial_once(monkeypatch, tmp_path):
 def test_a_process_on_one_os_thread_forks_and_one_with_two_does_not():
     """Run in a fresh interpreter with the BLAS on one thread, where the
     calling process is the only thread, unlike under this test runner."""
-    script = textwrap.dedent(f"""
+    script = textwrap.dedent("""
         import os, threading
         import numpy as np
         from ltvmcd import mcd, nn
         from ltvmcd.data import Dataset
         from ltvmcd.mcd import McdConfig, mcd_predict
 
-        os.sched_getaffinity = lambda pid: {{0, 1}}
+        os.sched_getaffinity = lambda pid: {0, 1}
         forks, fork = [], os.fork
         os.fork = lambda: forks.append(1) or fork()
         net = nn.build_mlp(10, [128, 64, 32], 0.2, seed=4)
