@@ -30,7 +30,7 @@ import numpy as np
 from . import __version__ as VERSION
 from . import data as datamod
 from . import losses, metrics, nn, trainer
-from .mcd import BLOCK_ROWS, McdConfig, McdResult, mcd_predict
+from .mcd import BLOCK_ROWS, McdConfig, McdResult, forked_map, mcd_predict, pass_macs
 from .numcore import from_json
 
 SEED_ENV_VAR = "LTVMCD_SEED"
@@ -377,19 +377,23 @@ def cmd_sweep_trials(args, out):
     ckpt, ds = _prepare_inference(args)
 
     labels = ds.labels
-    ginis = {t: [] for t in grid}
-    mapes = {t: [] for t in grid}
-    for rep in range(args.reps):
+
+    def scores(rep):  # one rep's (gini, mape) at each grid entry
         results = mcd_predict(ckpt.network, ds, replace(cfg, master_seed=seed + rep),
-                              loss_kind=ckpt.loss_kind, at=ginis)
-        for t, result in zip(ginis, results):
+                              loss_kind=ckpt.loss_kind, at=grid)
+        table = np.empty((len(grid), 2))
+        for row, result in zip(table, results):
             preds_raw = _raw_space(ckpt.loss_kind, result.mean, result.ids)
-            ginis[t].append(metrics.normalized_gini(preds_raw, labels))
-            mapes[t].append(metrics.top_k_mape(preds_raw, labels, args.k))
+            row[:] = (metrics.normalized_gini(preds_raw, labels),
+                      metrics.top_k_mape(preds_raw, labels, args.k))
+        return table
+
+    work = args.reps * ds.n * pass_macs(ckpt.network) * cfg.trials
+    tables = np.array(forked_map(scores, args.reps, (len(grid), 2), work))
     rows = []
-    for t in grid:
-        g_mean, g_std = _mean_std(ginis[t])
-        m_mean, m_std = _mean_std(mapes[t])
+    for t, (ginis, mapes) in zip(grid, tables.transpose(1, 2, 0).tolist()):
+        g_mean, g_std = _mean_std(ginis)
+        m_mean, m_std = _mean_std(mapes)
         rows.append((t, _fmt(g_mean), _fmt(g_std), _fmt(m_mean), _fmt(m_std)))
         print(f"T={t}: gini {g_mean:.4f} +/- {g_std:.5f}, "
               f"mape@{args.k:g} {m_mean:.4f} +/- {m_std:.5f}")

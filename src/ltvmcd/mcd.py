@@ -184,9 +184,7 @@ def mcd_predict(net, data, cfg: McdConfig, loss_kind="log_mse", keep_trials=Fals
     moments = [(np.empty(n), np.empty(n)) for _ in counts]
     kept = [None] * passes  # trial j's uniform draws, once this process holds them
     shared_part = getattr(net, "shared_part", lambda rows: None)
-    # a pass's multiply-adds per row: the size of every weight matrix
-    macs = sum(p.size for p in getattr(net, "params", list)() if p.ndim == 2)
-    workers = _workers(passes, n * macs * passes)
+    workers = _workers(passes, n * pass_macs(net) * passes)
 
     def enter(start, stop):  # a block's rows, its buffer and the passes' shared part
         rows = x[start:stop]
@@ -237,6 +235,38 @@ def mcd_predict(net, data, cfg: McdConfig, loss_kind="log_mse", keep_trials=Fals
     return results[0] if at is None else results
 
 
+def pass_macs(net):
+    """A pass's multiply-adds per row: the size of every weight matrix."""
+    return sum(p.size for p in getattr(net, "params", list)() if p.ndim == 2)
+
+
+def forked_map(fn, count, shape, work):
+    """[fn(i) for i in range(count)], each fn(i) a float64 array of this
+    shape and all of them work multiply-adds together. Item i runs on
+    worker i % workers, of _workers(count, work): worker 0 is the calling
+    process, and each other one a child that computes its items in order
+    and sends each one through its pipe. The caller computes an item that
+    a child did not send (it raised, could not start or died), and every
+    later item of that child; so the error raised is the one a serial
+    loop raises first, and no exception crosses a pipe."""
+    workers = _workers(count, work)
+
+    def work_items(w, fd):
+        for i in range(w, count, workers):
+            _send(fd, fn(i))
+
+    items = []
+    with _forked(workers, work_items) as children:
+        for i in range(count):
+            fd = children.get(i % workers)
+            item = None if fd is None else _receive(fd, shape)
+            if item is None:
+                children.pop(i % workers, None)  # its items are the caller's from here on
+                item = fn(i)
+            items.append(item)
+    return items
+
+
 def _blocks(n, batch_size):
     """The (start, stop) row ranges of the inference passes: batch_size
     rows each, the last one shorter if need be; or, for batch_size 0, a
@@ -266,25 +296,36 @@ def _workers(passes, work):
     return min(cpus, passes, MAX_WORKERS) if threads == 1 else 1
 
 
+# True in a process while it has live workers, and in every worker it
+# forked: _forked starts no child there, so the calls a worker makes run
+# on its process alone and a command never runs more than MAX_WORKERS.
+_live = False
+
+
 @contextlib.contextmanager
 def _forked(workers, work):
     """Fork a child for each worker w in [1, workers) that runs work(w, fd),
     fd the write end of its pipe to the calling process, and ends with
-    os._exit. A child whose pipe or fork fails is skipped. Yields
+    os._exit; none inside a worker, or while this process has live
+    workers. A child whose pipe or fork fails is skipped. Yields
     {w: read end} for the children that started; on exit each of them is
     killed and reaped, whatever its state."""
-    started = {}  # w: (pid, read end)
+    global _live
+    outer, started = _live, {}  # w: (pid, read end)
     try:
-        for w in range(1, workers):
+        _live = True  # before each fork, so that every child holds it
+        for w in range(1, 1 if outer else workers):
             child = _start(lambda fd, w=w: work(w, fd))
             if child is not None:
                 started[w] = child
+        _live = outer or bool(started)
         yield {w: fd for w, (_, fd) in started.items()}
     finally:
         for pid, fd in started.values():
             os.close(fd)
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
+        _live = outer
 
 
 def _start(body):

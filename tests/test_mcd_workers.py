@@ -1,9 +1,11 @@
 """The trials of an MCD call run on up to mcd.MAX_WORKERS processes of the
 affinity mask, trial j on worker j % workers with worker 0 the calling
 process, and on the calling process alone when the call is short or the
-process has another OS thread; these tests pin that the worker count
-changes no output byte and no error, whatever happens to a child, and
-that no child outlives a call."""
+process has another OS thread; the reps of sweep-trials run the same way,
+rep i on worker i % workers, each worker's MCD calls on its own process.
+These tests pin that the worker count changes no output byte and no
+error, whatever happens to a child, that a command forks at most once per
+child, and that no child outlives a call."""
 
 import collections
 import errno
@@ -18,7 +20,8 @@ import numpy as np
 import pytest
 
 import oracles
-from ltvmcd import losses, mcd, nn, numcore
+from ltvmcd import cli, losses, mcd, nn, numcore
+from ltvmcd import data as datamod
 from ltvmcd.data import Dataset
 from ltvmcd.mcd import McdConfig, mcd_predict
 from ltvmcd.numcore import NumericError, RngStream
@@ -59,6 +62,20 @@ def one_thread(monkeypatch, cpus=64):
                         raising=False)
     monkeypatch.setattr(mcd.os, "listdir",
                         lambda path: ["1"] if path == "/proc/self/task" else listdir(path))
+
+
+def log_forks(monkeypatch, log):
+    """Each os.fork appends the id of the process that calls it to the file
+    log, from whichever process calls it."""
+    fork = os.fork
+
+    def logged():
+        with open(log, "a", encoding="ascii") as fh:
+            fh.write(f"{os.getpid()}\n")
+        return fork()
+
+    monkeypatch.setattr(mcd.os, "fork", logged)
+    return lambda: [int(p) for p in log.read_text().split()] if log.exists() else []
 
 
 def count_forks(monkeypatch):
@@ -344,3 +361,180 @@ def test_a_process_on_one_os_thread_forks_and_one_with_two_does_not():
                           text=True, timeout=120, check=False)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["1", "True"]
+
+
+# -- sweep-trials: whole reps on the workers ----------------------------------
+
+SWEEP_SEED = 3
+
+
+def sweep_files(tmp_path, arch="dcnv2", loss="log_mse", n=60):
+    """A checkpoint of arch and loss, and an n-row dataset with half its
+    labels zero, in tmp_path; returns (checkpoint path, data path)."""
+    rng = np.random.default_rng(n)
+    labels = np.where(np.arange(n) % 2 == 0, rng.uniform(1.0, 100.0, n), 0.0)
+    ds = Dataset([f"u{i}" for i in range(n)], 0.3 * rng.normal(size=(n, 6)), labels)
+    datamod.save_csv(ds, tmp_path / "d.csv")
+    nn.save_checkpoint(tmp_path / "m.ckpt", nn.Checkpoint(network(arch, loss), loss))
+    return tmp_path / "m.ckpt", tmp_path / "d.csv"
+
+
+def sweep(files, reps, batch_size=0, grid="4,1,3"):
+    """sweep-trials' table bytes, or the exit code if it fails."""
+    model, data = files
+    out = data.parent / "sweep.csv"
+    code = cli.main(["sweep-trials", "--model", str(model), "--data", str(data),
+                     "--grid", grid, "--reps", str(reps), "--seed", str(SWEEP_SEED),
+                     "--batch-size", str(batch_size), "--out", str(out)])
+    return out.read_bytes() if code == 0 else code
+
+
+@pytest.mark.parametrize("batch_size", [0, 7])
+@pytest.mark.parametrize("arch", ["mlp", "dcnv2"])
+@pytest.mark.parametrize("loss", ["log_mse", "ziln"])
+def test_sweep_trials_writes_the_bytes_of_one_worker_on_every_count(monkeypatch, tmp_path,
+                                                                   batch_size, arch, loss):
+    files = sweep_files(tmp_path, arch, loss)
+    for reps in range(1, 6):  # one rep keeps the trial split inside its MCD call
+        tables = []
+        for workers in (1, 2, 3):
+            with_workers(monkeypatch, workers)
+            tables.append(sweep(files, reps, batch_size))
+        assert tables == [tables[0]] * 3, reps
+
+
+@pytest.mark.parametrize("nth", [1, 2])  # the child's first rep (rep 1), or its second (rep 3)
+def test_a_worker_killed_mid_sweep_gives_the_bytes_of_one(monkeypatch, tmp_path, nth):
+    files = sweep_files(tmp_path, "dcnv2", "ziln")
+    with_workers(monkeypatch, 1)
+    serial = sweep(files, 4, batch_size=20)  # 3 blocks of 4 trials: 12 passes a rep
+    caller, seen = os.getpid(), [0]
+    forks = count_forks(monkeypatch)
+    passes = log_passes(monkeypatch, tmp_path / "passes")
+    predict = cli.mcd_predict
+
+    def dies(*args, **kwargs):
+        if os.getpid() != caller:
+            seen[0] += 1
+            if seen[0] == nth:
+                os.kill(os.getpid(), signal.SIGKILL)
+        return predict(*args, **kwargs)
+
+    with_workers(monkeypatch, 2)
+    monkeypatch.setattr(cli, "mcd_predict", dies)
+    assert sweep(files, 4, batch_size=20) == serial
+    # the caller runs reps 0 and 2, then the child's from the rep it died in
+    # on; one more pass is the checkpoint load's zero-row check
+    logged = passes()
+    assert logged.pop(caller) == 12 * (2 + 3 - nth) + 1
+    assert logged == ({forks[0]: 12} if nth == 2 else {})
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+@pytest.mark.parametrize("failing", [(1, 2), (3,)])
+def test_every_worker_count_raises_the_error_of_the_lowest_failing_rep(monkeypatch, tmp_path,
+                                                                      capsys, workers, failing):
+    # with 2 workers rep 1 fails in the child and rep 2 in the caller, and
+    # rep 3 fails in the child; with 3 workers rep 3 fails in the caller
+    files = sweep_files(tmp_path, "mlp", "log_mse")
+    predict = cli.mcd_predict
+
+    def fails(net, ds, cfg, **kwargs):
+        rep = cfg.master_seed - SWEEP_SEED
+        if rep in failing:
+            raise NumericError(f"rep {rep} failed")
+        return predict(net, ds, cfg, **kwargs)
+
+    with_workers(monkeypatch, workers)
+    monkeypatch.setattr(cli, "mcd_predict", fails)
+    assert sweep(files, 5) == 1
+    assert capsys.readouterr().err == f"ltvmcd: error: rep {failing[0]} failed\n"
+
+
+@pytest.mark.parametrize("call", ["fork", "pipe"])
+def test_a_sweep_whose_worker_cannot_start_gives_the_bytes_of_one(monkeypatch, tmp_path, call):
+    files = sweep_files(tmp_path)
+    with_workers(monkeypatch, 1)
+    serial = sweep(files, 4, batch_size=7)
+
+    def fails(*args):
+        raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+    with_workers(monkeypatch, 2)
+    monkeypatch.setattr(mcd.os, call, fails)
+    assert sweep(files, 4, batch_size=7) == serial
+
+
+def test_an_interrupt_in_the_calling_process_mid_sweep_leaves_no_child(monkeypatch, tmp_path):
+    files = sweep_files(tmp_path)
+    caller, predict, seen = os.getpid(), cli.mcd_predict, [0]
+
+    def interrupted(*args, **kwargs):
+        if os.getpid() == caller:
+            seen[0] += 1
+            if seen[0] == 2:
+                raise KeyboardInterrupt
+        return predict(*args, **kwargs)
+
+    with_workers(monkeypatch, 2)
+    monkeypatch.setattr(cli, "mcd_predict", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        sweep(files, 4)
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_a_forced_sweep_forks_once_for_each_child_across_its_processes(monkeypatch, tmp_path,
+                                                                         workers):
+    # the children's MCD calls, and the caller's while its children live,
+    # start no child of their own, though _workers grants them one
+    files = sweep_files(tmp_path)
+    forks = log_forks(monkeypatch, tmp_path / "forks")
+    with_workers(monkeypatch, workers)
+    sweep(files, 5, batch_size=7)
+    assert forks() == [os.getpid()] * (workers - 1)
+
+
+@pytest.mark.parametrize("reps", [1, 4])
+def test_a_long_sweep_on_one_os_thread_forks_once_and_gives_the_bytes_of_one_cpu(tmp_path,
+                                                                                reps):
+    """Run in a fresh interpreter with the BLAS on one thread, where the
+    calling process is the only thread, unlike under this test runner. A
+    rep's MCD call reaches FORKED_MACS alone (3000 rows x 2930 x 16), so
+    one rep splits its trials, and four split the reps."""
+    rows = 3000
+    rng = np.random.default_rng(1)
+    labels = np.where(np.arange(rows) % 2 == 0, rng.uniform(1.0, 100.0, rows), 0.0)
+    ds = Dataset([str(i) for i in range(rows)], 0.2 * rng.normal(size=(rows, 10)), labels)
+    datamod.save_csv(ds, tmp_path / "d.csv")
+    nn.save_checkpoint(tmp_path / "m.ckpt", nn.Checkpoint(bench_shaped_net("dcnv2")))
+    script = textwrap.dedent("""
+        import os, sys
+        from ltvmcd import cli
+
+        cpus, log = sys.argv[1:3]
+        os.sched_getaffinity = lambda pid: set(range(int(cpus)))
+        fork = os.fork
+
+        def logged():
+            with open(log, "a", encoding="ascii") as fh:
+                fh.write(f"{os.getpid()}\\n")
+            return fork()
+
+        os.fork = logged
+        sys.exit(cli.main(sys.argv[3:]))
+    """)
+    src = os.path.dirname(os.path.dirname(mcd.__file__))
+    env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
+           "MKL_NUM_THREADS": "1"}
+    tables, logs = [], []
+    for cpus in (2, 1):
+        out, log = tmp_path / f"sweep{cpus}.csv", tmp_path / f"forks{cpus}"
+        argv = ["sweep-trials", "--model", tmp_path / "m.ckpt", "--data", tmp_path / "d.csv",
+                "--grid", "1,4,16", "--reps", reps, "--out", out]
+        proc = subprocess.run([sys.executable, "-c", script, str(cpus), log, *map(str, argv)],
+                              env=env, capture_output=True, text=True, timeout=120, check=False)
+        assert proc.returncode == 0, proc.stderr
+        tables.append(out.read_bytes())
+        logs.append(len(log.read_text().split()) if log.exists() else 0)
+    assert logs == [1, 0]
+    assert tables[0] == tables[1]
