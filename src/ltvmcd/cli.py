@@ -11,6 +11,10 @@ staged last, and commits them all together, only if the command
 succeeded. The manifest's duration field is wall-clock and is the one
 part of a run that is not reproducible.
 
+sweep-trials runs its reps on up to mcd.MAX_WORKERS processes through
+mcd.forked_map, one fork for the command, and writes the bytes a serial
+loop over the reps writes; predict splits its one MCD call's trials.
+
 Seed resolution order: LTVMCD_SEED env var, then --seed, then the config
 file, then 0.
 

@@ -37,6 +37,14 @@ not hold (the same masks), and the caller raises the error a serial loop
 over (block, trial) raises first. So the worker count changes no output
 bit and no error, and no child outlives the call.
 
+forked_map runs a coarser job the same way: sweep-trials maps its reps,
+each one MCD call and its metrics, item i on worker i % workers, one
+fork per child for the whole job and one pipe hand-off per item. A
+forked worker, and a process while its workers live, forks no child: the
+MCD calls inside an item run on their own process, as a call whose child
+could not start does, and a command never runs more than MAX_WORKERS
+processes.
+
 The result holds, as columns, the mean and sample standard deviation of
 each sample's trial vector in the model's output space. For log-MSE
 models that is log1p space; conversion to raw amounts happens at the
