@@ -13,7 +13,7 @@ part of a run that is not reproducible.
 
 sweep-trials runs its reps on up to mcd.MAX_WORKERS processes through
 mcd.forked_map, one fork for the command, and writes the bytes a serial
-loop over the reps writes; predict splits its one MCD call's trials.
+loop over the reps writes; predict's one MCD call maps its passes.
 
 Seed resolution order: LTVMCD_SEED env var, then --seed, then the config
 file, then 0.
@@ -34,7 +34,7 @@ import numpy as np
 from . import __version__ as VERSION
 from . import data as datamod
 from . import losses, metrics, nn, trainer
-from .mcd import BLOCK_ROWS, McdConfig, McdResult, forked_map, mcd_predict, pass_macs
+from .mcd import BLOCK_ROWS, McdConfig, McdResult, call_macs, forked_map, mcd_predict
 from .numcore import from_json
 
 SEED_ENV_VAR = "LTVMCD_SEED"
@@ -392,8 +392,8 @@ def cmd_sweep_trials(args, out):
                       metrics.top_k_mape(preds_raw, labels, args.k))
         return table
 
-    work = args.reps * ds.n * pass_macs(ckpt.network) * cfg.trials
-    tables = np.array(forked_map(scores, args.reps, (len(grid), 2), work))
+    work = args.reps * call_macs(ckpt.network, ds.n, cfg.trials)
+    tables = np.array(list(forked_map(scores, args.reps, lambda rep: (len(grid), 2), work)))
     rows = []
     for t, (ginis, mapes) in zip(grid, tables.transpose(1, 2, 0).tolist()):
         g_mean, g_std = _mean_std(ginis)

@@ -21,29 +21,26 @@ for max(grid) trials per rep, not for the sum of its grid. The part of a
 pass no dropout acts on (Network.shared_part: a DCNv2's cross branch) is
 computed once per block for its T passes to read.
 
-A call's passes run on up to MAX_WORKERS processes: trial j runs on
-worker j % workers over every block, worker 0 being the calling process
-and each other worker a child forked for this call alone, which sends
-each block's columns to the caller through a pipe. The caller takes a
-block's moments once it holds all T columns. A call forks only when its
-work (rows x the network's weights x T multiply-adds) reaches
-FORKED_MACS, the affinity mask holds 2 CPUs or more, and the process has
-no other OS thread: a fork copies the calling thread alone, so a lock
-that another thread holds (an OpenBLAS pool's, say) stays held in the
-child. So with the BLAS on more than one thread no call forks. A child
-whose pass raises, that cannot start or that dies leaves its trials to
-the caller, which starts a new stream for each trial whose draws it does
-not hold (the same masks), and the caller raises the error a serial loop
-over (block, trial) raises first. So the worker count changes no output
-bit and no error, and no child outlives the call.
-
-forked_map runs a coarser job the same way: sweep-trials maps its reps,
-each one MCD call and its metrics, item i on worker i % workers, one
-fork per child for the whole job and one pipe hand-off per item. A
-forked worker, and a process while its workers live, forks no child: the
-MCD calls inside an item run on their own process, as a call whose child
-could not start does, and a command never runs more than MAX_WORKERS
-processes.
+A call's passes are the items of one forked_map, item b x T + j being
+trial j over block b; with period T, item i runs on worker (i % T) %
+workers, so trial j runs on worker j % workers over every block. Worker
+0 is the calling process, and each other worker a child forked for this
+call alone, which sends each pass's column through a pipe; the caller
+takes a block's moments once it holds all T columns. A call forks only
+when its work (call_macs) reaches FORKED_MACS, the affinity mask holds
+2 CPUs or more, and the process has no other OS thread: a fork copies
+the calling thread alone, so a lock that another thread holds (an
+OpenBLAS pool's, say) stays held in the child, and with the BLAS on
+more than one thread no call forks. A child whose pass raises, that
+cannot start or that dies leaves its passes to the caller from the one
+it did not send on; the caller starts a new stream for each trial whose
+draws it does not hold (the same masks). The caller takes the items in
+serial (block, trial) order, so it raises the error a serial loop
+raises first, the worker count changes no output bit and no error, and
+no child outlives the call. sweep-trials maps its reps the same way,
+one item a rep. A forked worker, and a process while its workers live,
+forks no child, so the MCD calls inside a rep run on their own process
+and a command never runs more than MAX_WORKERS processes.
 
 The result holds, as columns, the mean and sample standard deviation of
 each sample's trial vector in the model's output space. For log-MSE
@@ -58,6 +55,7 @@ naming its sample.
 """
 
 import contextlib
+import functools
 import os
 import signal
 from dataclasses import dataclass
@@ -78,7 +76,7 @@ BLOCK_ROWS = 1024
 # activations, so a larger affinity mask runs no more until measured.
 MAX_WORKERS = 2
 
-# Multiply-adds of a call's passes (rows x the network's weights x T)
+# Multiply-adds of a job's passes (call_macs; times the reps of a sweep)
 # below which they run on the calling process alone: the fork, the pipe
 # and the reaping of the child cost about 4 ms, which a short call does
 # not win back. On that host, with the BLAS on one thread, two processes
@@ -86,14 +84,6 @@ MAX_WORKERS = 2
 # 1.19x at 95M, 1.00x at 118M and 0.91x at 142M; a DCNv2 with deep
 # [64, 32] 1.06x at 70M, 0.89x at 94M and 0.81x at 117M.
 FORKED_MACS = 120_000_000
-
-# The bytes a child's pipe holds, where the OS lets a process size it: the
-# most an unprivileged one may ask for by default on Linux. So a child
-# runs blocks ahead of the caller, which reads a block's columns only
-# once its own passes over the block are done; at the 64 KiB default, a
-# 1024-row block of 32 trials (256 KiB) held the child until then, and
-# a T = 64 MLP call over 10k rows took 10-15% longer.
-PIPE_BYTES = 1 << 20
 
 
 @dataclass
@@ -169,7 +159,8 @@ def mcd_predict(net, data, cfg: McdConfig, loss_kind="log_mse", keep_trials=Fals
     keep_trials holds all n x T, and the result for t its first t
     columns. A network without active dropout short-circuits to one eval
     pass per block: every trial would return the identical output, whose
-    exact mean is that output itself, with zero spread. Raises
+    exact mean is that output itself, with zero spread. The passes run
+    as the items of one forked_map (see the module docstring). Raises
     NumericError naming the first sample whose mean or std is not finite;
     a pass that raises ends the call with the error a serial loop over
     the blocks and trials would raise first. Deterministic given (model,
@@ -186,53 +177,37 @@ def mcd_predict(net, data, cfg: McdConfig, loss_kind="log_mse", keep_trials=Fals
     stochastic = getattr(net, "stochastic", lambda: True)()
     mode, passes = ("mc_sample", cfg.trials) if stochastic else ("eval", 1)
     blocks = _blocks(n, cfg.batch_size)
+    sizes = [stop - start for start, stop in blocks]
     # the arrays before the per-trial lists, so a T too large fails at once
-    buffer = np.empty((max((stop - start for start, stop in blocks), default=0), passes))
+    buffer = np.empty((max(sizes, default=0), passes))
     trials = np.empty((n, cfg.trials)) if keep_trials else None
     moments = [(np.empty(n), np.empty(n)) for _ in counts]
     kept = [None] * passes  # trial j's uniform draws, once this process holds them
     shared_part = getattr(net, "shared_part", lambda rows: None)
-    workers = _workers(passes, n * pass_macs(net) * passes)
 
-    def enter(start, stop):  # a block's rows, its buffer and the passes' shared part
-        rows = x[start:stop]
-        shared = shared_part(rows)
-        return rows, buffer[: stop - start], {} if shared is None else {"shared": shared}
+    @functools.lru_cache(maxsize=1)  # a process computes a block's shared part once
+    def extra(b):
+        shared = shared_part(x[slice(*blocks[b])])
+        return {} if shared is None else {"shared": shared}
 
-    def run(j, rows, block, extra):  # trial j's pass over one block
+    def run(i):  # item i: trial i % passes over block i // passes
+        b, j = divmod(i, passes)
         rng = None
         if stochastic:
             stream = None
             if kept[j] is None:  # this process's first pass of trial j
                 kept[j], stream = [], RngStream(cfg.master_seed, f"mcd/{j}")
             rng = _Draws(kept[j], stream)
-        out, _ = net.forward(rows, mode, rng, **extra)
-        block[:, j] = point(out)
+        out, _ = net.forward(x[slice(*blocks[b])], mode, rng, **extra(b))
+        return point(out)
 
-    def work(w, fd):  # worker w's passes in its child, a block's columns at a time
+    items = forked_map(run, len(blocks) * passes, lambda i: (sizes[i // passes],),
+                       call_macs(net, n, cfg.trials), period=passes)
+    with contextlib.closing(items):  # an error between items ends the children at once
         for start, stop in blocks:
-            rows, block, extra = enter(start, stop)
-            for j in range(w, passes, workers):
-                run(j, rows, block, extra)
-            _send(fd, block[:, w::workers])
-
-    with _forked(workers, work) as children:
-        own = [j for j in range(passes) if j % workers not in children]
-        for start, stop in blocks:
-            rows, block, extra = enter(start, stop)
-            failure = _first_failure(own, lambda j: run(j, rows, block, extra))
-            for w, fd in list(children.items()):
-                theirs = range(w, passes, workers)
-                columns = _receive(fd, (stop - start, len(theirs)))
-                if columns is not None:
-                    block[:, w::workers] = columns
-                    continue
-                del children[w]  # its trials are the caller's from this block on
-                own = sorted([*own, *theirs])
-                below = [j for j in theirs if failure is None or j < failure[0]]
-                failure = _first_failure(below, lambda j: run(j, rows, block, extra)) or failure
-            if failure:
-                raise failure[1]
+            block = buffer[: stop - start]
+            for j in range(passes):
+                block[:, j] = next(items)
             for t, (means, stds) in zip(counts, moments):
                 means[start:stop], stds[start:stop] = _moments(np.ascontiguousarray(block[:, :t]))
             if keep_trials:
@@ -243,36 +218,42 @@ def mcd_predict(net, data, cfg: McdConfig, loss_kind="log_mse", keep_trials=Fals
     return results[0] if at is None else results
 
 
-def pass_macs(net):
-    """A pass's multiply-adds per row: the size of every weight matrix."""
-    return sum(p.size for p in getattr(net, "params", list)() if p.ndim == 2)
+def call_macs(net, rows, trials):
+    """The multiply-adds of an MCD call of this many trials over rows: rows
+    x the size of every weight matrix x its passes, which are one eval
+    pass for a network without active dropout (mcd_predict)."""
+    passes = trials if getattr(net, "stochastic", lambda: True)() else 1
+    return rows * passes * sum(p.size for p in getattr(net, "params", list)() if p.ndim == 2)
 
 
-def forked_map(fn, count, shape, work):
-    """[fn(i) for i in range(count)], each fn(i) a float64 array of this
-    shape and all of them work multiply-adds together. Item i runs on
-    worker i % workers, of _workers(count, work): worker 0 is the calling
-    process, and each other one a child that computes its items in order
-    and sends each one through its pipe. The caller computes an item that
-    a child did not send (it raised, could not start or died), and every
-    later item of that child; so the error raised is the one a serial
-    loop raises first, and no exception crosses a pipe."""
-    workers = _workers(count, work)
+def forked_map(fn, count, shape, work, period=None):
+    """Yield fn(i) for i in range(count), in order, each fn(i) a float64
+    array of shape(i) and all of them work multiply-adds together. Item i
+    runs on worker (i % period) % workers, of _workers(period, work), the
+    period being count unless given: worker 0 is the calling process, and
+    each other one a child that computes its items in order and sends
+    each one through its pipe. The caller computes an item that a child
+    did not send (it raised, could not start or died), and every later
+    item of that child; so the items come in serial order, the error
+    raised is the one a serial loop raises first, and no exception
+    crosses a pipe. The children live until the last item is taken or the
+    generator is closed (contextlib.closing), whichever comes first."""
+    period = period or count
+    workers = _workers(period, work)
 
     def work_items(w, fd):
-        for i in range(w, count, workers):
-            _send(fd, fn(i))
+        for i in range(count):
+            if i % period % workers == w:
+                _send(fd, fn(i))
 
-    items = []
     with _forked(workers, work_items) as children:
         for i in range(count):
-            fd = children.get(i % workers)
-            item = None if fd is None else _receive(fd, shape)
+            w = i % period % workers
+            item = _receive(children[w], shape(i)) if w in children else None
             if item is None:
-                children.pop(i % workers, None)  # its items are the caller's from here on
+                children.pop(w, None)  # its items are the caller's from here on
                 item = fn(i)
-            items.append(item)
-    return items
+            yield item
 
 
 def _blocks(n, batch_size):
@@ -337,19 +318,15 @@ def _forked(workers, work):
 
 
 def _start(body):
-    """Fork a child that runs body(fd), fd the write end of a new pipe
-    of PIPE_BYTES, and ends with os._exit. Signals stay blocked from the
-    fork until the child is inside its try, so no handler can unwind the
-    child into the caller's stack. Returns (pid, read end), or None if the
-    pipe or the fork fails."""
-    import fcntl  # POSIX only; _workers forks on Linux alone
-
+    """Fork a child that runs body(fd), fd the write end of a new pipe,
+    and ends with os._exit. Signals stay blocked from the fork until the
+    child is inside its try, so no handler can unwind the child into the
+    caller's stack. Returns (pid, read end), or None if the pipe or the
+    fork fails."""
     try:
         read_fd, write_fd = os.pipe()
     except OSError:
         return None
-    with contextlib.suppress(OSError):  # where pipes are capped lower, the default size
-        fcntl.fcntl(write_fd, fcntl.F_SETPIPE_SZ, PIPE_BYTES)
     mask = signal.pthread_sigmask(signal.SIG_BLOCK, signal.valid_signals())
     try:
         pid = os.fork()
@@ -369,9 +346,9 @@ def _start(body):
     return pid, read_fd
 
 
-def _send(fd, columns):
-    """Write the float64 array columns to the pipe fd, in C order."""
-    view = memoryview(np.ascontiguousarray(columns)).cast("B")
+def _send(fd, item):
+    """Write the array item to the pipe fd as float64, in C order."""
+    view = memoryview(np.ascontiguousarray(item, dtype=np.float64)).cast("B")
     while view:
         view = view[os.write(fd, view):]
 
@@ -379,25 +356,14 @@ def _send(fd, columns):
 def _receive(fd, shape):
     """The float64 array of this shape read from the pipe fd, or None if
     the writer ended before sending all of it."""
-    columns = np.empty(shape)
-    view = memoryview(columns).cast("B")
+    item = np.empty(shape)
+    view = memoryview(item).cast("B")
     while view:
         got = os.readv(fd, [view])
         if not got:
             return None
         view = view[got:]
-    return columns
-
-
-def _first_failure(trials, run):
-    """Call run(j) for each j of trials in order, up to the first that
-    raises; returns (j, its exception), or None if none raised."""
-    for j in trials:
-        try:
-            run(j)
-        except Exception as exc:  # the caller raises the lowest trial's
-            return j, exc
-    return None
+    return item
 
 
 class _Draws:

@@ -1,11 +1,13 @@
-"""The trials of an MCD call run on up to mcd.MAX_WORKERS processes of the
-affinity mask, trial j on worker j % workers with worker 0 the calling
-process, and on the calling process alone when the call is short or the
-process has another OS thread; the reps of sweep-trials run the same way,
-rep i on worker i % workers, each worker's MCD calls on its own process.
-These tests pin that the worker count changes no output byte and no
-error, whatever happens to a child, that a command forks at most once per
-child, and that no child outlives a call."""
+"""mcd.forked_map runs its items on up to mcd.MAX_WORKERS processes of the
+affinity mask, worker 0 being the calling process, and on the calling
+process alone when the job is short or the process has another OS
+thread. An MCD call's items are its passes, trial j on worker j %
+workers over every block; the items of sweep-trials are its reps, rep i
+on worker i % workers, each worker's MCD calls on its own process. These
+tests pin that the worker count changes no output byte and no error,
+whatever happens to a child, that a command forks at most once per
+child, and that no child outlives a call, whether it ends in a pass or
+between passes."""
 
 import collections
 import errno
@@ -227,9 +229,8 @@ def test_a_worker_killed_mid_call_gives_the_bytes_of_one(monkeypatch, tmp_path, 
     with_workers(monkeypatch, 2)
     monkeypatch.setattr(nn.Network, "forward", dies)
     assert columns([mcd_predict(net, ds, cfg, "ziln", keep_trials=True)]) == serial
-    # the caller runs the child's trials from the block it died in on
-    taken_over = 3 * (3 - (nth - 1) // 3)
-    assert passes()[caller] == 9 + taken_over
+    # the caller runs the child's passes from the one it died in on
+    assert passes()[caller] == 9 + (9 - (nth - 1))
 
 
 @pytest.mark.parametrize("call", ["fork", "pipe"])
@@ -262,6 +263,26 @@ def test_an_interrupt_in_the_calling_process_leaves_no_child(monkeypatch):
     monkeypatch.setattr(nn.Network, "forward", interrupted)
     with pytest.raises(KeyboardInterrupt):
         mcd_predict(net, ds, McdConfig(trials=8, batch_size=20))
+
+
+def test_an_interrupt_between_passes_leaves_no_child(monkeypatch):
+    net, ds = network("mlp", "log_mse"), dataset(300)
+    moments, seen = mcd._moments, [0]
+
+    def interrupted(passes):  # the caller takes the moments of the second block
+        seen[0] += 1
+        if seen[0] == 2:
+            raise KeyboardInterrupt
+        return moments(passes)
+
+    with_workers(monkeypatch, 2)
+    forks = count_forks(monkeypatch)
+    monkeypatch.setattr(mcd, "_moments", interrupted)
+    with pytest.raises(KeyboardInterrupt) as interrupt:
+        mcd_predict(net, ds, McdConfig(trials=8, batch_size=20))
+    with pytest.raises(ChildProcessError):  # while the traceback still holds the call's frame
+        os.waitpid(-1, os.WNOHANG)
+    assert len(forks) == 1 and interrupt.traceback
 
 
 def test_the_worker_count_is_the_affinity_mask_capped_at_the_passes_and_the_maximum(
@@ -368,14 +389,14 @@ def test_a_process_on_one_os_thread_forks_and_one_with_two_does_not():
 SWEEP_SEED = 3
 
 
-def sweep_files(tmp_path, arch="dcnv2", loss="log_mse", n=60):
+def sweep_files(tmp_path, arch="dcnv2", loss="log_mse", n=60, dropout=0.3):
     """A checkpoint of arch and loss, and an n-row dataset with half its
     labels zero, in tmp_path; returns (checkpoint path, data path)."""
     rng = np.random.default_rng(n)
     labels = np.where(np.arange(n) % 2 == 0, rng.uniform(1.0, 100.0, n), 0.0)
     ds = Dataset([f"u{i}" for i in range(n)], 0.3 * rng.normal(size=(n, 6)), labels)
     datamod.save_csv(ds, tmp_path / "d.csv")
-    nn.save_checkpoint(tmp_path / "m.ckpt", nn.Checkpoint(network(arch, loss), loss))
+    nn.save_checkpoint(tmp_path / "m.ckpt", nn.Checkpoint(network(arch, loss, dropout), loss))
     return tmp_path / "m.ckpt", tmp_path / "d.csv"
 
 
@@ -480,6 +501,21 @@ def test_an_interrupt_in_the_calling_process_mid_sweep_leaves_no_child(monkeypat
     monkeypatch.setattr(cli, "mcd_predict", interrupted)
     with pytest.raises(KeyboardInterrupt):
         sweep(files, 4)
+
+
+def test_a_sweep_without_dropout_counts_one_pass_a_rep(monkeypatch, tmp_path):
+    # each rep runs one eval pass per block, whatever max(grid) is: 2 reps
+    # of 3000 rows reach FORKED_MACS at 100 passes a rep, not at one
+    files = sweep_files(tmp_path, n=3000, dropout=0.0)
+    weights = sum(p.size for p in network("dcnv2", "log_mse", 0.0).params() if p.ndim == 2)
+    assert 2 * 3000 * weights < mcd.FORKED_MACS <= 2 * 3000 * weights * 100
+    with monkeypatch.context() as serial_run:
+        with_workers(serial_run, 1)
+        serial = sweep(files, 2, grid="1,100")
+    one_thread(monkeypatch)
+    forks = count_forks(monkeypatch)
+    assert sweep(files, 2, grid="1,100") == serial
+    assert forks == []
 
 
 @pytest.mark.parametrize("workers", [2, 3])
