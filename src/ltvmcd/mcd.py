@@ -319,14 +319,22 @@ def _forked(workers, work):
 
 def _start(body):
     """Fork a child that runs body(fd), fd the write end of a new pipe,
-    and ends with os._exit. Signals stay blocked from the fork until the
-    child is inside its try, so no handler can unwind the child into the
-    caller's stack. Returns (pid, read end), or None if the pipe or the
-    fork fails."""
+    and ends with os._exit. The pipe is grown to 1 MiB where the OS lets
+    it (the most an unprivileged process may ask for by default on
+    Linux), so a child runs up to 128 passes of 1024 rows ahead of the
+    caller, against 8 at the 64 KiB default. Signals stay blocked from the
+    fork until the child is inside its try, so no handler can unwind the
+    child into the caller's stack. Returns (pid, read end), or None if the
+    pipe or the fork fails."""
+    import fcntl  # POSIX only; _workers forks on Linux alone
+
     try:
         read_fd, write_fd = os.pipe()
     except OSError:
         return None
+    if hasattr(fcntl, "F_SETPIPE_SZ"):
+        with contextlib.suppress(OSError):  # where pipes are capped lower, the size they have
+            fcntl.fcntl(write_fd, fcntl.F_SETPIPE_SZ, 1 << 20)
     mask = signal.pthread_sigmask(signal.SIG_BLOCK, signal.valid_signals())
     try:
         pid = os.fork()

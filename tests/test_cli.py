@@ -1,5 +1,7 @@
 import csv
+import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -9,6 +11,7 @@ import pytest
 
 import oracles
 from ltvmcd import cli, data, nn
+from ltvmcd.mcd import McdConfig, mcd_predict
 
 
 def run(*argv):
@@ -135,6 +138,29 @@ class TestPredict:
         trials = [[float(r[f"t{j}"]) for j in range(3)] for r in rows]
         for r, tv in zip(rows, trials):
             assert float(r["mean"]) == pytest.approx(np.mean(tv), abs=1e-12)
+
+    def test_keep_trials_file_is_the_csv_writer_table_on_every_rerun(self, ws, tmp_path):
+        # 1200 rows, so the file spans blocks of plain and of quoted ids
+        ds = data.load_csv(ws / "data.csv")
+        ds.ids[3], ds.ids[700], ds.ids[701] = "a,b", 'say "hi"', "n\nm"
+        data.save_csv(ds, tmp_path / "d.csv")
+        args = ("predict", "--model", ws / "model.ckpt", "--data", tmp_path / "d.csv",
+                "--trials", 5, "--seed", 4, "--keep-trials")
+        assert run(*args, "--out", tmp_path / "a.csv") == 0
+        assert run(*args, "--out", tmp_path / "b.csv") == 0
+        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+        ckpt = nn.load_checkpoint(ws / "model.ckpt")
+        data.standardize_in_place(ds, *ckpt.norm)
+        result = mcd_predict(ckpt.network, ds, McdConfig(trials=5, master_seed=4),
+                             loss_kind=ckpt.loss_kind, keep_trials=True)
+        buf = io.StringIO(newline="")
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(["id", "mean", "std", "n_trials", "raw_mean", *(f"t{j}" for j in range(5))])
+        for s in result:
+            writer.writerow([s.sample_id, repr(s.mean), repr(s.std), s.n_trials, repr(math.expm1(s.mean)),
+                             *map(repr, s.trials.tolist())])
+        assert (tmp_path / "a.csv").read_bytes() == buf.getvalue().encode("utf-8")
 
     def test_env_seed_overrides_flag(self, ws, tmp_path, monkeypatch):
         flag = tmp_path / "flag.csv"

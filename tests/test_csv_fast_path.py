@@ -337,6 +337,49 @@ def test_write_csv_quotes_a_bare_cr_and_leaves_other_rows_alone(tmp_path):
         [str(field) for field in row] for row in rows)]
 
 
+FIELDS = st.one_of(
+    st.sampled_from(["u0", "a,b", 'q"x', "n\nm", "r\rs", '""', "", " ", "#x"]),
+    st.text(max_size=3),
+    st.integers(-2**70, 2**70),
+    VALUES,
+    st.none(),
+)
+PLAIN_FIELDS = st.one_of(st.sampled_from(["u0", " ", "#x", "1e-05"]), st.integers(), VALUES)
+
+
+@st.composite
+def tables(draw):
+    """Runs of repeated rows, each run up to twice _SAVE_ROWS long, so that
+    a block of plain rows meets a block that needs quoting."""
+    row = st.one_of(st.lists(FIELDS, min_size=1, max_size=4),
+                    st.lists(PLAIN_FIELDS, min_size=1, max_size=4), st.just([""]))
+    runs = draw(st.lists(st.tuples(row, st.integers(1, 2 * data._SAVE_ROWS)), min_size=1, max_size=4))
+    return [list(r) for r, count in runs for _ in range(count)]
+
+
+def csv_writer_text(rows):
+    """rows as csv.writer alone writes them, but for a row with a field
+    holding \r, spelled out as csv_writer_bytes spells it."""
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf, lineterminator="\n")
+    for row in rows:
+        fields = ["" if value is None else str(value) for value in row]
+        if any("\r" in field for field in fields):
+            buf.write(",".join(map(quoted, fields)) + "\n")
+        else:
+            writer.writerow(row)
+    return buf.getvalue().encode("utf-8")
+
+
+@settings(max_examples=150, deadline=None)
+@given(tables())
+def test_write_csv_writes_the_bytes_of_csv_writer_on_mixed_rows(tmp_path_factory, rows):
+    path = tmp_path_factory.mktemp("w") / "out.csv"
+    header = ["id", "x"]
+    data.write_csv(path, header, rows)
+    assert path.read_bytes() == csv_writer_text([header, *rows])
+
+
 # -- what reaches the user ---------------------------------------------------
 
 @pytest.mark.parametrize("text", [HEADER, ""], ids=["header only", "empty"])

@@ -11,6 +11,7 @@ between passes."""
 
 import collections
 import errno
+import fcntl
 import os
 import signal
 import subprocess
@@ -246,6 +247,25 @@ def test_a_worker_that_cannot_start_gives_the_bytes_of_one(monkeypatch, call):
     with_workers(monkeypatch, 3)
     monkeypatch.setattr(mcd.os, call, fails)
     assert columns(mcd_predict(net, ds, cfg, keep_trials=True, at=(2, 7))) == serial
+
+
+def pipe_max_size():
+    try:
+        with open("/proc/sys/fs/pipe-max-size") as fh:
+            return int(fh.read())
+    except OSError:
+        return 0
+
+
+@pytest.mark.skipif(not hasattr(fcntl, "F_GETPIPE_SZ") or pipe_max_size() < 1 << 20,
+                    reason="the OS does not let a process grow a pipe to 1 MiB")
+def test_a_child_pipe_holds_1_mib():
+    pid, fd = mcd._start(lambda fd: None)
+    try:
+        assert fcntl.fcntl(fd, fcntl.F_GETPIPE_SZ) >= 1 << 20
+    finally:
+        os.close(fd)
+        os.waitpid(pid, 0)
 
 
 def test_an_interrupt_in_the_calling_process_leaves_no_child(monkeypatch):

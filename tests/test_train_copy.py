@@ -1,6 +1,6 @@
 """train holds one standardized copy of its train split: the split is
 standardized in place, the test split is left raw (only compare
-standardizes it), and save_csv writes 1024-row blocks. Also: a value that
+standardizes it), and save_csv writes 512-row blocks. Also: a value that
 overflows once standardized is one line naming its feature and its row's
 id, and a bad --k is rejected before any file is read or any pass is run."""
 
@@ -32,7 +32,7 @@ def traced_peak(fn):
 # -- memory ------------------------------------------------------------------
 
 def test_save_csv_holds_less_than_its_feature_matrix(tmp_path):
-    # 20k x 10 rows: 1.09 MB in 1024-row blocks, 3.94 MB in 4096-row ones
+    # 20k x 10 rows: 1.14 MB in 512-row blocks, 2.27 MB in 1024-row ones
     ds = synthetic(20000, 10, 5)
     peak = traced_peak(lambda: data.save_csv(ds, tmp_path / "d.csv"))
     assert peak < ds.features.nbytes
