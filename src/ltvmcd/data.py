@@ -10,16 +10,17 @@ transform lives at the loss/metrics boundary, never in storage. The
 generator couples a latent score to both purchase propensity and purchase
 amount so that ranking metrics on the result are learnable.
 
-Every CSV file the package writes goes through write_csv, by one rule:
-a field holding , " \r or \n is quoted, with its quotes doubled; a row
-whose one field is empty is written ""; None is the empty field, and
-any other field is written as str() of itself; every line ends in "\n".
-These are csv.writer's bytes, except that a field holding a bare "\r"
-is quoted, as csv.writer quotes one holding "\n", so that the file
-reads back. load_csv parses a plain file (no quoting, "\n" line ends,
-the expected field count on every line) with np.loadtxt's C parser, and
-reads any other file again with the csv module, row by row, so the
-values read and every CsvFormatError are those of the csv module alone.
+Every CSV file the package writes goes through write_csv, by one rule: a
+field holding , " \r or \n is quoted, with its quotes doubled; a row
+whose one field is empty is written ""; None is the empty field, and any
+other field is written as str() of itself; every line ends in "\n".
+These are the bytes of the csv module's writer with lineterminator "\n",
+except that a field holding a bare "\r" is quoted too, as it quotes one
+holding "\n", so that the file reads back. load_csv parses a plain file
+(no quoting, "\n" line ends, the expected field count on every line)
+with np.loadtxt's C parser, and reads any other file again with the csv
+module, row by row, so the values read and every CsvFormatError are
+those of the csv module alone.
 """
 
 import contextlib
@@ -252,6 +253,7 @@ def _csv_lines(block):
 
 
 def _csv_field(value):
+    """One field as the rule above writes it."""
     text = "" if value is None else str(value)
     if '"' in text or "," in text or "\n" in text or "\r" in text:
         return '"' + text.replace('"', '""') + '"'
