@@ -200,7 +200,7 @@ def cmd_train(args, out):
     ckpt = nn.Checkpoint(network=net, loss_kind=args.loss,
                          norm=(train_std.norm_mean, train_std.norm_std))
     nn.save_checkpoint(ckpt_path, ckpt)
-    rows = [(epoch, _fmt(tr), _fmt(val)) for epoch, tr, val in history]
+    rows = [(str(epoch), _fmt(tr), _fmt(val)) for epoch, tr, val in history]
     datamod.write_csv(history_path, ["epoch", "train_loss", "val_loss"], rows)
     if test_path:
         datamod.save_csv(test_raw, test_path)
@@ -233,7 +233,7 @@ def cmd_predict(args, out):
     header = ["id", "mean", "std", "n_trials"]
     means = result.mean.tolist()
     columns = [result.ids, map(_fmt, means), map(_fmt, result.std.tolist()),
-               result.n_trials.tolist()]
+               map(str, result.n_trials.tolist())]
     if ckpt.loss_kind == "log_mse":
         raw = [_raw_mean(m) for m in means]
         if None in raw:
@@ -398,7 +398,7 @@ def cmd_sweep_trials(args, out):
     for t, (ginis, mapes) in zip(grid, tables.transpose(1, 2, 0).tolist()):
         g_mean, g_std = _mean_std(ginis)
         m_mean, m_std = _mean_std(mapes)
-        rows.append((t, _fmt(g_mean), _fmt(g_std), _fmt(m_mean), _fmt(m_std)))
+        rows.append((str(t), _fmt(g_mean), _fmt(g_std), _fmt(m_mean), _fmt(m_std)))
         print(f"T={t}: gini {g_mean:.4f} +/- {g_std:.5f}, "
               f"mape@{args.k:g} {m_mean:.4f} +/- {m_std:.5f}")
 

@@ -10,17 +10,17 @@ transform lives at the loss/metrics boundary, never in storage. The
 generator couples a latent score to both purchase propensity and purchase
 amount so that ranking metrics on the result are learnable.
 
-Every CSV file the package writes goes through write_csv, by one rule: a
-field holding , " \r or \n is quoted, with its quotes doubled; a row
-whose one field is empty is written ""; None is the empty field, and any
-other field is written as str() of itself; every line ends in "\n".
-These are the bytes of the csv module's writer with lineterminator "\n",
-except that a field holding a bare "\r" is quoted too, as it quotes one
-holding "\n", so that the file reads back. load_csv parses a plain file
-(no quoting, "\n" line ends, the expected field count on every line)
-with np.loadtxt's C parser, and reads any other file again with the csv
-module, row by row, so the values read and every CsvFormatError are
-those of the csv module alone.
+Every CSV file the package writes goes through write_csv. Each caller
+formats its own fields as text (floats by repr), and write_csv only
+quotes and joins them, by one rule: a field holding , " \r or \n is
+quoted, with its quotes doubled; a row whose one field is empty is
+written ""; every line ends in "\n". These are the bytes of the csv
+module's writer with lineterminator "\n", except that a field holding a
+bare "\r" is quoted too, as it quotes one holding "\n", so that the file
+reads back. load_csv parses a plain file (no quoting, "\n" line ends,
+the expected field count on every line) with np.loadtxt's C parser, and
+reads any other file again with the csv module, row by row, so the
+values read and every CsvFormatError are those of the csv module alone.
 """
 
 import contextlib
@@ -230,8 +230,9 @@ def atomic_open(path):
 
 
 def write_csv(path, header, rows):
-    """Write the header and rows (each a sequence of fields) atomically as
-    CSV by the rule above, one block of _SAVE_ROWS rows at a time."""
+    """Write the header and rows (each a sequence of str fields) atomically
+    as CSV by the rule above, one block of _SAVE_ROWS rows at a time. A
+    field that is not a str raises TypeError."""
     rows = iter(rows)
     with atomic_open(path) as fh:
         fh.write(_csv_lines([header]))
@@ -240,36 +241,33 @@ def write_csv(path, header, rows):
 
 
 def _csv_lines(block):
-    """The CSV lines of a block of rows. A block of strs none of which
-    holds , " \r or \n is joined as it is; any other goes field by field
-    through _csv_field."""
-    try:
-        text = "".join(itertools.chain.from_iterable(block))
-    except TypeError:  # a field that is not a str
-        text = '"'
+    """The CSV lines of a block of rows of strs. A block none of whose
+    fields holds , " \r or \n is joined as it is; any other goes field by
+    field through _csv_field."""
+    text = "".join(itertools.chain.from_iterable(block))
     if '"' in text or "," in text or "\n" in text or "\r" in text:
         block = [[_csv_field(value) for value in row] for row in block]
     return "".join([(",".join(row) or ('""' if row else "")) + "\n" for row in block])
 
 
-def _csv_field(value):
-    """One field as the rule above writes it."""
-    text = "" if value is None else str(value)
+def _csv_field(text):
+    """One str field as the rule above writes it."""
     if '"' in text or "," in text or "\n" in text or "\r" in text:
         return '"' + text.replace('"', '""') + '"'
     return text
 
 
 def save_csv(data: Dataset, path):
-    """Write id,f0..f{d-1},label rows through write_csv. Floats use repr,
-    which round-trips doubles exactly, so save -> load is lossless. Rows are
-    formatted from np.column_stack([features, labels]).tolist() one block of
-    _SAVE_ROWS rows at a time, so the file is never held in memory whole."""
+    """Write id,f0..f{d-1},label rows through write_csv. Ids use str and
+    floats repr, which round-trips doubles exactly, so save -> load is
+    lossless. Rows are formatted from np.column_stack([features,
+    labels]).tolist() one block of _SAVE_ROWS rows at a time, so the file
+    is never held in memory whole."""
     def rows():
         for s in range(0, data.n, _SAVE_ROWS):
             e = s + _SAVE_ROWS
             values = np.column_stack([data.features[s:e], data.labels[s:e]]).tolist()
-            yield from ([row_id, *map(repr, row)] for row_id, row in zip(data.ids[s:e], values))
+            yield from ([str(row_id), *map(repr, row)] for row_id, row in zip(data.ids[s:e], values))
 
     write_csv(path, _header(data.dim), rows())
 

@@ -5,10 +5,10 @@ Trial j draws its dropout masks from a stream labeled "mcd/{j}" under
 the run's master seed, so any trial can be replayed in isolation: one
 mask per layer per trial, shared across all samples. The rows run in
 blocks, outermost, with the T trials inside each block. Each trial's
-stream is built once per call in the process that runs the trial; its
-first pass draws from it, and every later block replays those draws, so
-all blocks see the masks a new stream with that label would give,
-regardless of inference batching.
+stream is built once per call in each process that runs a pass of the
+trial; its first pass there draws from it, and every later block
+replays those draws, so all blocks see the masks a new stream with that
+label would give, regardless of inference batching.
 With batch_size 0 the blocks start at multiples of BLOCK_ROWS and hold
 BLOCK_ROWS rows, and a remainder of BLOCK_ROWS // 2 rows or more is a
 block of its own, while a shorter one joins the last block: on the BLAS
@@ -22,25 +22,26 @@ pass no dropout acts on (Network.shared_part: a DCNv2's cross branch) is
 computed once per block for its T passes to read.
 
 A call's passes are the items of one forked_map, item b x T + j being
-trial j over block b; with period T, item i runs on worker (i % T) %
-workers, so trial j runs on worker j % workers over every block. Worker
-0 is the calling process, and each other worker a child forked for this
-call alone, which sends each pass's column through a pipe; the caller
-takes a block's moments once it holds all T columns. A call forks only
-when its work (call_macs) reaches FORKED_MACS, the affinity mask holds
-2 CPUs or more, and the process has no other OS thread: a fork copies
-the calling thread alone, so a lock that another thread holds (an
-OpenBLAS pool's, say) stays held in the child, and with the BLAS on
-more than one thread no call forks. A child whose pass raises, that
-cannot start or that dies leaves its passes to the caller from the one
-it did not send on; the caller starts a new stream for each trial whose
-draws it does not hold (the same masks). The caller takes the items in
-serial (block, trial) order, so it raises the error a serial loop
-raises first, the worker count changes no output bit and no error, and
-no child outlives the call. sweep-trials maps its reps the same way,
-one item a rep. A forked worker, and a process while its workers live,
-forks no child, so the MCD calls inside a rep run on their own process
-and a command never runs more than MAX_WORKERS processes.
+trial j over block b, and item i runs on worker i % workers: for an even
+T, trial j runs on worker j % workers over every block, and for an odd T
+a trial's passes alternate between the workers, each of which builds
+that trial's stream once. Worker 0 is the calling process, and each
+other worker a child forked for this call alone, which sends each pass's
+column through a pipe; the caller takes a block's moments once it holds
+all T columns. A call forks only when its work (call_macs) reaches
+FORKED_MACS, the affinity mask holds 2 CPUs or more, and the process has
+no other OS thread: a fork copies the calling thread alone, so a lock
+that another thread holds (an OpenBLAS pool's, say) stays held in the
+child, and with the BLAS on more than one thread no call forks. A child
+whose pass raises, that cannot start or that dies leaves its passes to
+the caller from the one it did not send on; the caller starts a new
+stream for each trial whose draws it does not hold (the same masks). The
+caller takes the items in serial (block, trial) order, so it raises the
+error a serial loop raises first, the worker count changes no output bit
+and no error, and no child outlives the call. sweep-trials maps its reps
+the same way, one item a rep. A forked worker, and a process while its
+workers live, forks no child, so the MCD calls inside a rep run on their
+own process and a command never runs more than MAX_WORKERS processes.
 
 The result holds, as columns, the mean and sample standard deviation of
 each sample's trial vector in the model's output space. For log-MSE
@@ -202,7 +203,7 @@ def mcd_predict(net, data, cfg: McdConfig, loss_kind="log_mse", keep_trials=Fals
         return point(out)
 
     items = forked_map(run, len(blocks) * passes, lambda i: (sizes[i // passes],),
-                       call_macs(net, n, cfg.trials), period=passes)
+                       call_macs(net, n, cfg.trials))
     with contextlib.closing(items):  # an error between items ends the children at once
         for start, stop in blocks:
             block = buffer[: stop - start]
@@ -226,29 +227,26 @@ def call_macs(net, rows, trials):
     return rows * passes * sum(p.size for p in getattr(net, "params", list)() if p.ndim == 2)
 
 
-def forked_map(fn, count, shape, work, period=None):
+def forked_map(fn, count, shape, work):
     """Yield fn(i) for i in range(count), in order, each fn(i) a float64
     array of shape(i) and all of them work multiply-adds together. Item i
-    runs on worker (i % period) % workers, of _workers(period, work), the
-    period being count unless given: worker 0 is the calling process, and
-    each other one a child that computes its items in order and sends
-    each one through its pipe. The caller computes an item that a child
+    runs on worker i % workers, of _workers(count, work): worker 0 is the
+    calling process, and each other one a child that computes its items
+    in order and sends each one through its pipe. The caller computes an item that a child
     did not send (it raised, could not start or died), and every later
     item of that child; so the items come in serial order, the error
     raised is the one a serial loop raises first, and no exception
     crosses a pipe. The children live until the last item is taken or the
     generator is closed (contextlib.closing), whichever comes first."""
-    period = period or count
-    workers = _workers(period, work)
+    workers = _workers(count, work)
 
     def work_items(w, fd):
-        for i in range(count):
-            if i % period % workers == w:
-                _send(fd, fn(i))
+        for i in range(w, count, workers):
+            _send(fd, fn(i))
 
     with _forked(workers, work_items) as children:
         for i in range(count):
-            w = i % period % workers
+            w = i % workers
             item = _receive(children[w], shape(i)) if w in children else None
             if item is None:
                 children.pop(w, None)  # its items are the caller's from here on
@@ -270,10 +268,10 @@ def _blocks(n, batch_size):
     return list(zip(starts, starts[1:] + [n]))
 
 
-def _workers(passes, work):
-    """The processes that run a call's passes of work multiply-adds in
+def _workers(items, work):
+    """The processes that run a job's items of work multiply-adds in
     all: one per CPU of the affinity mask, at most MAX_WORKERS and at most
-    one per pass; one when work is under FORKED_MACS, and one unless
+    one per item; one when work is under FORKED_MACS, and one unless
     /proc/self/task shows this process running on one OS thread."""
     if work < FORKED_MACS:
         return 1
@@ -282,7 +280,7 @@ def _workers(passes, work):
         threads = len(os.listdir("/proc/self/task"))
     except (AttributeError, OSError):  # no affinity masks or no /proc: no fork
         return 1
-    return min(cpus, passes, MAX_WORKERS) if threads == 1 else 1
+    return min(cpus, items, MAX_WORKERS) if threads == 1 else 1
 
 
 # True in a process while it has live workers, and in every worker it

@@ -275,6 +275,26 @@ class TestSweepTrials:
                    "--out", tmp_path / "s.csv") == 1
 
 
+@pytest.mark.parametrize("command", ["train", "predict", "sweep-trials"])
+def test_a_table_of_plain_ids_is_never_quoted_field_by_field(ws, tmp_path, monkeypatch, command):
+    """Each command hands write_csv str fields, so with ids that need no
+    quoting every block is joined whole."""
+    calls, field = [], data._csv_field
+    monkeypatch.setattr(data, "_csv_field", lambda text: calls.append(text) or field(text))
+    out = tmp_path / "out.csv"
+    argv = {
+        "train": ("--data", ws / "data.csv", "--model", "mlp", "--config", ws / "train.json",
+                  "--out", tmp_path / "m.ckpt", "--history-out", out),
+        "predict": ("--model", ws / "model.ckpt", "--data", ws / "test.csv", "--trials", 3,
+                    "--out", out),
+        "sweep-trials": ("--model", ws / "model.ckpt", "--data", ws / "test.csv",
+                         "--grid", "1,2", "--reps", 2, "--k", 0.2, "--out", out),
+    }[command]
+    assert run(command, *argv) == 0
+    assert len(read_rows(out)) > 1
+    assert calls == []
+
+
 class TestCompare:
     def test_five_finite_rows(self, ws, tmp_path):
         cfg = tmp_path / "cmp.json"

@@ -328,28 +328,39 @@ def test_save_csv_round_trips_ids_that_need_quoting(tmp_path, ids):
 
 
 def test_write_csv_quotes_a_bare_cr_and_leaves_other_rows_alone(tmp_path):
-    rows = [["r\rs", 1.5, 2], ["u1", 0.25, 3], ["\r", "a,b", ""], ["n\nm", "", 'q"']]
+    rows = [["r\rs", "1.5", "2"], ["u1", "0.25", "3"], ["\r", "a,b", ""], ["n\nm", "", 'q"']]
     path = tmp_path / "p.csv"
     data.write_csv(path, ["id", "x", "k"], rows)
     assert path.read_bytes() == (b'id,x,k\n"r\rs",1.5,2\nu1,0.25,3\n"\r","a,b",\n'
                                  b'"n\nm",,"q"""\n')
-    assert [row for _, row in data.csv_rows(path)] == [["id", "x", "k"], *(
-        [str(field) for field in row] for row in rows)]
+    assert [row for _, row in data.csv_rows(path)] == [["id", "x", "k"], *rows]
+
+
+@pytest.mark.parametrize("row", [["u1", 3], [1.5], [None]])
+def test_write_csv_refuses_a_field_that_is_not_a_str(tmp_path, row):
+    """Each caller formats its fields; one that did not fails at once and
+    leaves no file."""
+    path = tmp_path / "p.csv"
+    with pytest.raises(TypeError):
+        data.write_csv(path, ["id", "k"], [["u0", "1"], row])
+    assert list(tmp_path.iterdir()) == []
 
 
 FIELDS = st.one_of(
     st.sampled_from(["u0", "a,b", 'q"x', "n\nm", "r\rs", '""', "", " ", "#x"]),
     st.text(max_size=3),
-    st.integers(-2**70, 2**70),
-    VALUES,
-    st.none(),
+    st.integers(-2**70, 2**70).map(str),
+    VALUES.map(repr),
+    st.just(""),
 )
-PLAIN_FIELDS = st.one_of(st.sampled_from(["u0", " ", "#x", "1e-05"]), st.integers(), VALUES)
+PLAIN_FIELDS = st.one_of(st.sampled_from(["u0", " ", "#x", "1e-05"]), st.integers().map(str),
+                         VALUES.map(repr))
 
 
 @st.composite
 def tables(draw):
-    """Runs of repeated rows, each run up to twice _SAVE_ROWS long, so that
+    """Runs of repeated rows of str fields (ints and floats as the text
+    callers format them to), each run up to twice _SAVE_ROWS long, so that
     a block of plain rows meets a block that needs quoting."""
     row = st.one_of(st.lists(FIELDS, min_size=1, max_size=4),
                     st.lists(PLAIN_FIELDS, min_size=1, max_size=4), st.just([""]))
@@ -363,9 +374,8 @@ def csv_writer_text(rows):
     buf = io.StringIO(newline="")
     writer = csv.writer(buf, lineterminator="\n")
     for row in rows:
-        fields = ["" if value is None else str(value) for value in row]
-        if any("\r" in field for field in fields):
-            buf.write(",".join(map(quoted, fields)) + "\n")
+        if any("\r" in field for field in row):
+            buf.write(",".join(map(quoted, row)) + "\n")
         else:
             writer.writerow(row)
     return buf.getvalue().encode("utf-8")

@@ -39,7 +39,7 @@ class ScriptedNet:
 class TestMcdPredict:
     def test_recorded_trials_two_and_four(self, monkeypatch):
         # the scripted values follow the call order, which is trial order on one worker
-        monkeypatch.setattr(mcd, "_workers", lambda passes, work: 1)
+        monkeypatch.setattr(mcd, "_workers", lambda items, work: 1)
         ds = Dataset(["a"], np.zeros((1, 1)), np.zeros(1))
         net = ScriptedNet([2.0, 4.0])
         (s,) = mcd_predict(net, ds, McdConfig(trials=2), keep_trials=True)
@@ -294,7 +294,7 @@ def test_a_call_builds_one_stream_per_trial_and_holds_one_at_a_time(monkeypatch)
             alive.add(self)
 
     monkeypatch.setattr(mcd, "RngStream", Counted)
-    monkeypatch.setattr(mcd, "_workers", lambda passes, work: 1)
+    monkeypatch.setattr(mcd, "_workers", lambda items, work: 1)
     net = nn.build_mlp(5, [8, 8], 0.3, seed=2)
     mcd_predict(net, tiny_dataset(n=23), McdConfig(trials=4, batch_size=7))
     assert made == [f"mcd/{j}" for j in range(4)]
@@ -315,17 +315,20 @@ def test_workers_build_one_stream_per_trial_and_hold_one_each(monkeypatch, tmp_p
             Counted.alive.add(self)
 
     monkeypatch.setattr(mcd, "RngStream", Counted)
-    monkeypatch.setattr(mcd, "_workers", lambda passes, work: workers)
+    monkeypatch.setattr(mcd, "_workers", lambda items, work: workers)
     net = nn.build_mlp(5, [8, 8], 0.3, seed=2)
-    mcd_predict(net, tiny_dataset(n=23), McdConfig(trials=7, batch_size=7))
+    mcd_predict(net, tiny_dataset(n=23), McdConfig(trials=7, batch_size=7))  # 4 blocks
     made = [line.split() for line in log.read_text().splitlines()]
     assert all(alive == "0" for _, _, alive in made)
     by_process = {}
     for pid, label, _ in made:
         by_process.setdefault(pid, []).append(label)
-    assert sorted(by_process.values()) == [[f"mcd/{j}" for j in range(w, 7, workers)]
-                                           for w in range(workers)]
-    assert by_process[str(os.getpid())] == [f"mcd/{j}" for j in range(0, 7, workers)]
+    # pass i (trial i % 7) runs on worker i % workers; a worker builds a
+    # trial's stream at its first pass of it
+    firsts = [list(dict.fromkeys(f"mcd/{i % 7}" for i in range(w, 28, workers)))
+              for w in range(workers)]
+    assert sorted(by_process.values()) == sorted(firsts)
+    assert by_process[str(os.getpid())] == firsts[0]
 
 
 class TestConfidenceInterval:

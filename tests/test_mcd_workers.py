@@ -1,8 +1,9 @@
 """mcd.forked_map runs its items on up to mcd.MAX_WORKERS processes of the
 affinity mask, worker 0 being the calling process, and on the calling
 process alone when the job is short or the process has another OS
-thread. An MCD call's items are its passes, trial j on worker j %
-workers over every block; the items of sweep-trials are its reps, rep i
+thread. An MCD call's items are its passes, pass i on worker i %
+workers (for an even T, trial j on worker j % workers over every block);
+the items of sweep-trials are its reps, rep i
 on worker i % workers, each worker's MCD calls on its own process. These
 tests pin that the worker count changes no output byte and no error,
 whatever happens to a child, that a command forks at most once per
@@ -55,7 +56,7 @@ def network(arch, loss, dropout=0.3):
 
 
 def with_workers(monkeypatch, workers):
-    monkeypatch.setattr(mcd, "_workers", lambda passes, work: min(workers, passes))
+    monkeypatch.setattr(mcd, "_workers", lambda items, work: min(workers, items))
 
 
 def one_thread(monkeypatch, cpus=64):
@@ -147,13 +148,13 @@ def test_a_net_without_dropout_runs_one_pass_in_the_calling_process(monkeypatch,
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3])
-def test_trial_j_runs_on_worker_j_mod_workers_over_every_block(monkeypatch, tmp_path, workers):
+def test_pass_i_runs_on_worker_i_mod_workers_over_every_block(monkeypatch, tmp_path, workers):
     net, ds = network("dcnv2", "log_mse"), dataset(30)
     with_workers(monkeypatch, workers)
     forks = count_forks(monkeypatch)
     passes = log_passes(monkeypatch, tmp_path / "passes")
-    mcd_predict(net, ds, McdConfig(trials=8, batch_size=4))  # 8 blocks
-    per_worker = [len(range(w, 8, workers)) * 8 for w in range(workers)]
+    mcd_predict(net, ds, McdConfig(trials=8, batch_size=4))  # 8 blocks, 64 passes
+    per_worker = [len(range(w, 64, workers)) for w in range(workers)]
     assert len(forks) == workers - 1
     assert passes() == dict(zip([os.getpid(), *forks], per_worker))
 
@@ -366,7 +367,7 @@ def test_more_workers_than_cores_run_every_trial_once(monkeypatch, tmp_path):
     with_workers(monkeypatch, 6)
     passes = log_passes(monkeypatch, tmp_path / "passes")
     forked = columns([mcd_predict(net, ds, cfg, "ziln", keep_trials=True)])
-    assert sorted(passes().values()) == [2 * 30] * 2 + [3 * 30] * 4
+    assert sorted(passes().values()) == [16 * 30 // 6] * 6
     assert forked == serial
 
 

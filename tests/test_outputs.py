@@ -84,7 +84,7 @@ def test_staged_block_that_raises_keeps_old_targets_and_leaves_no_temp(tmp_path)
     second.write_text("old b")
     with pytest.raises(RuntimeError):
         with data.staged_outputs() as out:
-            data.write_csv(out.path(first), ["x"], [[1]])
+            data.write_csv(out.path(first), ["x"], [["1"]])
             with open(out.path(second), "w") as fh:
                 fh.write("new b")
             assert len(list(tmp_path.iterdir())) == 4
