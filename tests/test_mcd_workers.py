@@ -1,14 +1,13 @@
-"""mcd.forked_map runs its items on up to mcd.MAX_WORKERS processes of the
-affinity mask, worker 0 being the calling process, and on the calling
-process alone when the job is short or the process has another OS
-thread. An MCD call's items are its passes, pass i on worker i %
+"""mcd.forked_map runs its items on up to mcd.MAX_WORKERS processes of
+the affinity mask, worker 0 being the calling process, and on the
+calling process alone when the job is short or the process has another
+OS thread. An MCD call's items are its passes, pass i on worker i %
 workers (for an even T, trial j on worker j % workers over every block);
-the items of sweep-trials are its reps, rep i
-on worker i % workers, each worker's MCD calls on its own process. These
-tests pin that the worker count changes no output byte and no error,
-whatever happens to a child, that a command forks at most once per
-child, and that no child outlives a call, whether it ends in a pass or
-between passes."""
+the items of sweep-trials are its reps, rep i on worker i % workers,
+each worker's MCD calls on its own process. These tests pin that the
+worker count changes no output byte and no error, whatever happens to a
+child, that a command forks at most once per child, and that no child
+outlives a call, whether it ends in a pass or between passes."""
 
 import collections
 import errno
